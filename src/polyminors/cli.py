@@ -52,7 +52,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polyminors")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (drawn from entropy if omitted)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker count for the recursive engine")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -128,7 +127,6 @@ def _make_config(args, strategy_default=None) -> MinorLoopConfig:
         cfg.det_strategy = det
     cfg.modulus = getattr(args, "modulus", None)
     cfg.verbose = getattr(args, "verbose", False)
-    cfg.jobs = args.jobs
     return cfg
 
 
@@ -178,7 +176,7 @@ def main(argv=None) -> int:
 
         if args.command == "minors":
             M = _need(problem, "matrix", "matrix")
-            minors = recursive_minors(args.size, M, jobs=args.jobs) \
+            minors = recursive_minors(args.size, M) \
                 if args.det == DET_RECURSIVE else [
                     det_bareiss(M.submatrix(c)) if args.det == DET_BAREISS else det_cofactor(M.submatrix(c))
                     for c in _all_choices(M, args.size)
@@ -192,7 +190,7 @@ def main(argv=None) -> int:
             cfg = _make_config(args)
             ideal, stats = choose_good_minors(
                 args.count, args.size, M, cfg.strategy, rng,
-                points_ideal=problem.ideal, det_engine=cfg.det_strategy, jobs=args.jobs,
+                points_ideal=problem.ideal, det_engine=cfg.det_strategy,
             )
             _emit(_report(args, seed, started, result=len(ideal.generators),
                           considered=stats["considered"], computed=stats["computed"],
@@ -262,7 +260,7 @@ def _all_choices(M, size):
     ]
 
 
-def benchmark(rows, cols, size, num_vars, degrees, engines, repetitions, seed, jobs=4):
+def benchmark(rows, cols, size, num_vars, degrees, engines, repetitions, seed):
     """Time each determinant engine over random dense matrices; one row per degree.
 
     Matrices are regenerated per degree from the seeded RNG so every engine
@@ -282,9 +280,7 @@ def benchmark(rows, cols, size, num_vars, degrees, engines, repetitions, seed, j
             for M in matrices:
                 start = time.perf_counter()
                 if engine == "recursive":
-                    recursive_minors(size, M, jobs=1)
-                elif engine == "recursive4":
-                    recursive_minors(size, M, jobs=jobs)
+                    recursive_minors(size, M)
                 else:
                     for c in _all_choices(M, size):
                         sub = M.submatrix(c)
@@ -299,12 +295,10 @@ def _run_benchmark(args, seed) -> int:
     degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     for e in engines:
-        if e not in (*_ENGINES, "recursive4"):
+        if e not in _ENGINES:
             raise PolyError(f"unknown engine {e!r}")
-    if "recursive" in engines and "recursive4" not in engines:
-        engines.append("recursive4")
     table = benchmark(args.rows, args.cols, args.size, args.vars, degrees,
-                      engines, args.reps, seed, jobs=max(args.jobs, 4))
+                      engines, args.reps, seed)
     if args.format == "json":
         print(json.dumps({"command": "benchmark", "seed": seed, "table": table}))
         return EXIT_TRUE

@@ -85,7 +85,6 @@ class MinorLoopConfig:
     det_strategy: str = "bareiss"
     verbose: bool = False
     modulus: int = None
-    jobs: int = 1
     s_pair_cap: int = DEFAULT_S_PAIR_CAP
     log_stream: object = None
 
@@ -183,8 +182,9 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     Accumulates Jacobian minors of size (num_vars - dim) on top of the
     defining ideal; succeeds once the accumulated locus has dimension at most
     dim - n - 1.  Returns True on success, None when the minor budget is
-    exhausted, and False only when every distinct submatrix was computed and
-    the bound still fails.  The caller asserts equidimensionality.
+    exhausted or the S-pair budget ran out, and False only when every distinct
+    submatrix was computed and the bound still fails on a complete Groebner
+    basis.  The caller asserts equidimensionality.
     """
     cfg = cfg or MinorLoopConfig()
     rng = rng or random.Random()
@@ -237,7 +237,11 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     fast_codim_bound = min(num_vars - target_dim, num_vars + 1)
 
     def run_checkpoint():
-        """Returns True on success, None if the Groebner budget ran out."""
+        """True on success, False if the bound fails, None if the Groebner budget ran out.
+
+        Minors stay pending until a checkpoint completes, so a budget failure
+        drops none of them.
+        """
         nonlocal current_gb, current_dim, pending
         cfg.log(
             f"regularInCodimension: checkpoint considered = {considered} computed = {len(seen)}"
@@ -247,17 +251,20 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
                 normal_form(m, current_gb) for m in pending
             ]
             reduced = [m for m in reduced if not m.is_zero()]
-            pending = []
             probe = Ideal(current_gb + reduced, ring)
             fast = is_codim_at_least(fast_codim_bound, probe)
             if reduced:
                 current_gb = buchberger(current_gb + reduced, s_pair_cap=cfg.s_pair_cap)
-            heads = [g.lead_term()[0] for g in current_gb]
-            codim = monomial_ideal_codim(heads, num_vars)
-            current_dim = -1 if codim == num_vars + 1 else num_vars - codim
         except BudgetExceededError:
-            cfg.log("regularInCodimension: fast codim bound failed, full dimension = ?")
+            cfg.log(
+                f"regularInCodimension: S-pair budget of {cfg.s_pair_cap} exceeded, "
+                f"full dimension = ?"
+            )
             return None
+        pending = []
+        heads = [g.lead_term()[0] for g in current_gb]
+        codim = monomial_ideal_codim(heads, num_vars)
+        current_dim = -1 if codim == num_vars + 1 else num_vars - codim
         history.append(current_dim)
         word = "succeeded" if fast else "failed"
         cfg.log(
@@ -265,14 +272,14 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         )
         return current_dim == -1 or current_dim <= target_dim
 
-    success = False
+    outcome = False
     while considered < max_minors and len(seen) < possible:
         choice = selector.next_choice(minor_size)
         considered += 1
         key = choice.key()
         if key not in seen:
             seen.add(key)
-            det = determinant(jac.submatrix(choice), cfg.det_strategy, cfg.jobs)
+            det = determinant(jac.submatrix(choice), cfg.det_strategy)
             if not det.is_zero():
                 minors.append(det)
                 pending.append(det)
@@ -280,19 +287,19 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         if considered >= next_check:
             while next_check <= considered:
                 next_check = next(schedule)
-            if run_checkpoint():
-                success = True
+            outcome = run_checkpoint()
+            if outcome:
                 break
 
-    if not success:
+    if not outcome:
         outcome = run_checkpoint()
-        success = bool(outcome)
 
     cfg.log(f"regularInCodimension: final dimension = {current_dim}")
     accumulated = Ideal(defining.generators + minors, ring)
-    if success:
+    if outcome:
         result = True
-    elif len(seen) >= possible:
+    elif outcome is False and len(seen) >= possible:
+        # Only a completed final checkpoint can refute the bound.
         result = False
     else:
         result = None
@@ -381,7 +388,7 @@ def proj_dim_upper_bound(complex_input: ChainComplexInput, min_dimension: int = 
             if key in seen:
                 continue
             seen.add(key)
-            det = determinant(d.submatrix(choice), cfg.det_strategy, cfg.jobs)
+            det = determinant(d.submatrix(choice), cfg.det_strategy)
             if det.is_zero():
                 continue
             minors.append(det)

@@ -6,12 +6,10 @@ import heapq
 from itertools import combinations
 
 from .polyring import (
-    GREVLEX,
     MonomialOrder,
     PolyError,
     Polynomial,
     PolyRing,
-    identity_order,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -125,25 +123,14 @@ def _spoly_terms(f_lm, f_terms, g_lm, g_terms, order, ring):
     return acc
 
 
-def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP):
-    """Reduced monic Groebner basis of the ideal generated by `generators`.
+def _pair_loop(basis, order, ring, limit: int) -> bool:
+    """Extend a list of prepared entries in place with S-pair remainders.
 
-    S-pairs are processed smallest lcm first; coprime-lead and chain criteria
-    discard pairs.  Exceeding the S-pair cap raises BudgetExceededError rather
-    than ever returning a wrong basis.
+    Pairs leave the queue smallest lcm first; coprime-lead and chain criteria
+    discard pairs, and every other pair's S-polynomial is reduced by the basis
+    so far, a nonzero remainder joining it.  Returns True when the queue
+    emptied before `limit` pairs had been taken from it, False otherwise.
     """
-    generators = [g for g in generators if not g.is_zero()]
-    if not generators:
-        return []
-    ring = generators[0].ring
-    order = order or ring.canonical_order
-
-    basis = []  # (lead monomial, support mask, terms items tuple)
-    for g in generators:
-        g = g.monic(order)
-        lm = g.lead_term(order)[0]
-        basis.append((lm, _support_mask(lm), tuple(g.terms.items())))
-
     pairs = []
     done = set()
 
@@ -154,12 +141,12 @@ def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAUL
     for i, j in combinations(range(len(basis)), 2):
         push_pair(i, j)
 
-    processed = 0
+    taken = 0
     while pairs:
+        if taken >= limit:
+            return False
         _, i, j = heapq.heappop(pairs)
-        processed += 1
-        if processed > s_pair_cap:
-            raise BudgetExceededError(f"S-pair budget of {s_pair_cap} exceeded")
+        taken += 1
         done.add((i, j))
         lm_i, lm_j = basis[i][0], basis[j][0]
         l = monomial_lcm(lm_i, lm_j)
@@ -184,13 +171,28 @@ def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAUL
         rem = _reduce_prepared(s_terms, basis, order, ring)
         if rem.is_zero():
             continue
-        rem = rem.monic(order)
-        lm = rem.lead_term(order)[0]
-        basis.append((lm, _support_mask(lm), tuple(rem.terms.items())))
+        basis.extend(_prepared([rem], order))
         new = len(basis) - 1
         for t in range(new):
             push_pair(t, new)
+    return True
 
+
+def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP):
+    """Reduced monic Groebner basis of the ideal generated by `generators`.
+
+    Runs the S-pair loop with at most `s_pair_cap` pairs taken from the queue,
+    counting those the criteria discard.  When pairs remain past the cap it
+    raises BudgetExceededError rather than ever returning a wrong basis.
+    """
+    generators = [g for g in generators if not g.is_zero()]
+    if not generators:
+        return []
+    ring = generators[0].ring
+    order = order or ring.canonical_order
+    basis = _prepared(generators, order)
+    if not _pair_loop(basis, order, ring, s_pair_cap):
+        raise BudgetExceededError(f"S-pair budget of {s_pair_cap} exceeded")
     return _auto_reduce(basis, order, ring)
 
 
@@ -333,10 +335,11 @@ def is_codim_at_least(c: int, ideal: Ideal, order: MonomialOrder = None,
                       max_reductions: int = CODIM_PROBE_REDUCTIONS):
     """Sound fast lower-bound test: True, or None when inconclusive.
 
-    Uses head monomials of the generators plus any heads discovered within a
-    capped number of S-pair reductions; the monomial ideal they generate sits
-    inside the initial ideal, so its codimension bounds codim(I) from below.
-    Never returns False.
+    Runs the S-pair loop of `buchberger` on the generators, stopped after
+    `max_reductions` pairs taken from the queue (the unit of `s_pair_cap`,
+    so pairs the criteria discard count too).  The heads found so far
+    generate a monomial ideal inside the initial ideal, so its codimension
+    bounds codim(I) from below.  Never returns False.
     """
     if c < 0:
         raise PolyError("codimension bound must be nonnegative")
@@ -344,38 +347,10 @@ def is_codim_at_least(c: int, ideal: Ideal, order: MonomialOrder = None,
         return True
     ring = ideal.ring
     order = order or ring.canonical_order
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    if not gens:
+    basis = _prepared(ideal.generators, order)
+    if not basis:
         return None
-    basis = []
-    for g in gens:
-        g = g.monic(order)
-        lm = g.lead_term(order)[0]
-        basis.append((lm, _support_mask(lm), tuple(g.terms.items())))
-
-    # A few cheap S-pair reductions may reveal extra head monomials.
-    pairs = []
-    for i, j in combinations(range(len(basis)), 2):
-        l = monomial_lcm(basis[i][0], basis[j][0])
-        if l != monomial_mul(basis[i][0], basis[j][0]):
-            heapq.heappush(pairs, (order.key(l), i, j))
-    reductions = 0
-    while pairs and reductions < max_reductions:
-        _, i, j = heapq.heappop(pairs)
-        reductions += 1
-        s_terms = _spoly_terms(basis[i][0], basis[i][2], basis[j][0], basis[j][2], order, ring)
-        rem = _reduce_prepared(s_terms, basis, order, ring)
-        if rem.is_zero():
-            continue
-        rem = rem.monic(order)
-        lm = rem.lead_term(order)[0]
-        basis.append((lm, _support_mask(lm), tuple(rem.terms.items())))
-        new = len(basis) - 1
-        for t in range(new):
-            l = monomial_lcm(basis[t][0], basis[new][0])
-            if l != monomial_mul(basis[t][0], basis[new][0]):
-                heapq.heappush(pairs, (order.key(l), t, new))
-
+    _pair_loop(basis, order, ring, max_reductions)
     heads = [entry[0] for entry in basis]
     if monomial_ideal_codim(heads, ring.num_vars) >= c:
         return True

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -107,16 +106,6 @@ class PolyMatrix:
         """Evaluate every entry at a point; returns a grid of field elements."""
         return [[e.evaluate(point) for e in row] for row in self.entries]
 
-    def map_ring(self, target: PolyRing) -> "PolyMatrix":
-        """Re-coerce all entries into a ring with the same variables."""
-        return PolyMatrix(
-            target,
-            [
-                [target.from_terms((c, m) for m, c in e.terms.items()) for e in row]
-                for row in self.entries
-            ],
-        )
-
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ncols != other.nrows:
             raise MatrixShapeError("incompatible shapes for product")
@@ -190,7 +179,7 @@ def _cofactor(ring, rows) -> Polynomial:
     return det
 
 
-def determinant(M: PolyMatrix, engine: str = DET_BAREISS, jobs: int = 1) -> Polynomial:
+def determinant(M: PolyMatrix, engine: str = DET_BAREISS) -> Polynomial:
     """Dispatch to one of the three determinant engines."""
     if engine == DET_BAREISS:
         return det_bareiss(M)
@@ -199,7 +188,7 @@ def determinant(M: PolyMatrix, engine: str = DET_BAREISS, jobs: int = 1) -> Poly
     if engine == DET_RECURSIVE:
         if not M.is_square():
             raise MatrixShapeError("determinant of a non-square matrix")
-        return recursive_minors(M.nrows, M, jobs=jobs)[0]
+        return recursive_minors(M.nrows, M)[0]
     raise PolyError(f"unknown determinant engine {engine!r}")
 
 
@@ -210,18 +199,15 @@ def count_possible_minors(nrows: int, ncols: int, k: int) -> int:
     return math.comb(nrows, k) * math.comb(ncols, k)
 
 
-def recursive_minors(k: int, M: PolyMatrix, jobs: int = 1, table_cap: int = DEFAULT_TABLE_CAP):
+def recursive_minors(k: int, M: PolyMatrix, table_cap: int = DEFAULT_TABLE_CAP):
     """All k x k minors of M via a memoized bottom-up cofactor table.
 
     Level j minors are expanded along their first column using level j-1
     entries; only (row set, column set) pairs that feed some target are ever
-    computed.  Output order is lexicographic in (row set, column set).  The
-    result is independent of the worker count.
+    computed.  Output order is lexicographic in (row set, column set).
     """
     if k < 1 or k > min(M.nrows, M.ncols):
         raise PolyError(f"minor size {k} out of range")
-    if jobs < 1:
-        raise PolyError("jobs must be positive")
     targets = [
         (r, c)
         for r in combinations(range(M.nrows), k)
@@ -268,18 +254,9 @@ def recursive_minors(k: int, M: PolyMatrix, jobs: int = 1, table_cap: int = DEFA
         return det
 
     for level in range(2, k + 1):
-        work = sorted(needed[level])
         compute = det2 if level == 2 else expand
-        if jobs == 1 or len(work) < 2:
-            results = [compute(key) for key in work]
-        else:
-            chunk = (len(work) + jobs - 1) // jobs
-            chunks = [work[i : i + chunk] for i in range(0, len(work), chunk)]
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(lambda ch: [compute(key) for key in ch], chunks))
-            results = [d for part in parts for d in part]
         # Only the just-finished level feeds the next one.
-        table = dict(zip(work, results))
+        table = {key: compute(key) for key in sorted(needed[level])}
 
     return [table[key] for key in sorted(targets)]
 

@@ -195,10 +195,6 @@ def compare_monomials(a: tuple, b: tuple, order: MonomialOrder) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def monomial_degree(m: tuple) -> int:
-    return sum(m)
-
-
 def monomial_mul(a: tuple, b: tuple) -> tuple:
     out = tuple(x + y for x, y in zip(a, b))
     if any(e >= MAX_EXPONENT for e in out):

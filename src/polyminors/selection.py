@@ -365,12 +365,6 @@ def _numeric_det_nonzero(block, field) -> bool:
     return rank == len(block)
 
 
-def mutate_working(working: WorkingMatrix, used: SubmatrixChoice, rng) -> WorkingMatrix:
-    """Functional wrapper over WorkingMatrix.mutate."""
-    working.mutate(used, rng)
-    return working
-
-
 class MinorSelector:
     """Draws submatrix choices by a weighted strategy with graceful degradation.
 
@@ -421,8 +415,7 @@ class MinorSelector:
 
 
 def choose_good_minors(count: int, size: int, M: PolyMatrix, strategy: StrategyTable,
-                       rng, points_ideal: Ideal = None, det_engine: str = "bareiss",
-                       jobs: int = 1):
+                       rng, points_ideal: Ideal = None, det_engine: str = "bareiss"):
     """Select up to `count` submatrices and collect their nonzero determinants.
 
     Returns (Ideal of minors, stats) where stats counts every draw as
@@ -443,7 +436,7 @@ def choose_good_minors(count: int, size: int, M: PolyMatrix, strategy: StrategyT
         if key in seen:
             continue
         seen.add(key)
-        det = determinant(M.submatrix(choice), det_engine, jobs)
+        det = determinant(M.submatrix(choice), det_engine)
         if not det.is_zero():
             minors.append(det)
             if selector.points_ideal is not None:

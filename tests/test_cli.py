@@ -233,7 +233,7 @@ class TestErrors:
 class TestBenchmark:
     def test_table_shape(self):
         table = benchmark(3, 4, 2, 1, [1, 2], ["bareiss", "recursive"],
-                          repetitions=1, seed=1, jobs=2)
+                          repetitions=1, seed=1)
         assert [row["degree"] for row in table] == [1, 2]
         for row in table:
             assert set(row) == {"degree", "bareiss", "recursive"}

@@ -213,6 +213,23 @@ class TestRegularInCodimension:
             r"full dimension = -?\d+", log)
         assert re.search(r"regularInCodimension: final dimension = -?\d+", log)
 
+    def test_budget_failure_is_inconclusive(self):
+        # Every submatrix gets computed, but no checkpoint completes a basis
+        # under a zero S-pair cap, so the bound is never refuted.
+        ring = PolyRing(GF(101), ["x", "y"])
+        x, y = ring.gens()
+        I = Ideal([y - x * x], ring)
+        stream = io.StringIO()
+        cfg = MinorLoopConfig(s_pair_cap=0, verbose=True, log_stream=stream)
+        report = regular_in_codimension(0, RingPresentation(I), cfg, random.Random(0))
+        assert report.computed == 2
+        assert report.result is None
+        assert "S-pair budget of 0 exceeded" in stream.getvalue()
+        assert "fast codim bound" not in stream.getvalue()
+        report = regular_in_codimension(
+            0, RingPresentation(I), MinorLoopConfig(), random.Random(0))
+        assert report.result is True
+
     def test_report_counters_consistent(self, curve_ideal):
         report = regular_in_codimension(
             1, RingPresentation(curve_ideal), MinorLoopConfig(), random.Random(3))

@@ -260,3 +260,15 @@ class TestCodimFastPath:
         R = PolyRing(QQ, ["x"])
         with pytest.raises(Exception):
             is_codim_at_least(-1, Ideal([R.zero()], R))
+
+
+class TestCodimProbePairLimit:
+    def test_limit_gates_discovered_heads(self):
+        # Both generator heads are xy (codim 1); the Groebner basis has heads
+        # x and y^2 (codim 2), which only S-pair remainders reveal.
+        R = PolyRing(QQ, ["x", "y"])
+        x, y = R.gens()
+        I = Ideal([x * y - y, x * y - x], R)
+        assert codim_quotient(I) == 2
+        assert is_codim_at_least(2, I, max_reductions=0) is None
+        assert is_codim_at_least(2, I) is True

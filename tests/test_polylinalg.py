@@ -144,13 +144,6 @@ class TestRecursiveMinors:
         M = random_matrix(ring, 3, 4, 2, random.Random(k))
         assert recursive_minors(k, M) == brute_force_minors(k, M)
 
-    def test_jobs_invariance(self):
-        ring = PolyRing(QQ, ["x", "y"])
-        M = random_matrix(ring, 5, 6, 2, random.Random(8))
-        base = recursive_minors(3, M, jobs=1)
-        for jobs in (2, 4, 7):
-            assert recursive_minors(3, M, jobs=jobs) == base
-
     def test_output_count_and_order(self):
         ring = PolyRing(QQ, ["x"])
         M = random_matrix(ring, 4, 5, 1, random.Random(2))
