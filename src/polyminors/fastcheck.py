@@ -254,7 +254,8 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
             probe = Ideal(current_gb + reduced, ring)
             fast = is_codim_at_least(fast_codim_bound, probe)
             if reduced:
-                current_gb = buchberger(current_gb + reduced, s_pair_cap=cfg.s_pair_cap)
+                current_gb = buchberger(current_gb + reduced, s_pair_cap=cfg.s_pair_cap,
+                                        gb_prefix=len(current_gb))
         except BudgetExceededError:
             cfg.log(
                 f"regularInCodimension: S-pair budget of {cfg.s_pair_cap} exceeded, "

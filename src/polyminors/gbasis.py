@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+from operator import neg
 
 from .polyring import (
     MonomialOrder,
@@ -26,7 +26,7 @@ class BudgetExceededError(PolyError):
 
 def _heap_key(order: MonomialOrder, mono: tuple):
     # Negate the ascending order key so heapq pops the largest monomial first.
-    return tuple(-x for x in order.key(mono))
+    return tuple(map(neg, order.key(mono)))
 
 
 def _support_mask(mono: tuple) -> int:
@@ -123,13 +123,15 @@ def _spoly_terms(f_lm, f_terms, g_lm, g_terms, order, ring):
     return acc
 
 
-def _pair_loop(basis, order, ring, limit: int) -> bool:
+def _pair_loop(basis, order, ring, limit: int, start: int = 0) -> bool:
     """Extend a list of prepared entries in place with S-pair remainders.
 
     Pairs leave the queue smallest lcm first; coprime-lead and chain criteria
     discard pairs, and every other pair's S-polynomial is reduced by the basis
-    so far, a nonzero remainder joining it.  Returns True when the queue
-    emptied before `limit` pairs had been taken from it, False otherwise.
+    so far, a nonzero remainder joining it.  The first `start` entries must
+    already form a Groebner basis: pairs among them are never queued and
+    count as done.  Returns True when the queue emptied before `limit` pairs
+    had been taken from it, False otherwise.
     """
     pairs = []
     done = set()
@@ -138,8 +140,9 @@ def _pair_loop(basis, order, ring, limit: int) -> bool:
         l = monomial_lcm(basis[i][0], basis[j][0])
         heapq.heappush(pairs, (order.key(l), i, j))
 
-    for i, j in combinations(range(len(basis)), 2):
-        push_pair(i, j)
+    for j in range(start, len(basis)):
+        for i in range(j):
+            push_pair(i, j)
 
     taken = 0
     while pairs:
@@ -162,7 +165,7 @@ def _pair_loop(basis, order, ring, limit: int) -> bool:
             if monomial_divides(basis[k][0], l):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
-                if a in done and b in done:
+                if (a[1] < start or a in done) and (b[1] < start or b in done):
                     skip = True
                     break
         if skip:
@@ -178,20 +181,25 @@ def _pair_loop(basis, order, ring, limit: int) -> bool:
     return True
 
 
-def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP):
+def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP,
+               gb_prefix: int = 0):
     """Reduced monic Groebner basis of the ideal generated by `generators`.
 
     Runs the S-pair loop with at most `s_pair_cap` pairs taken from the queue,
     counting those the criteria discard.  When pairs remain past the cap it
     raises BudgetExceededError rather than ever returning a wrong basis.
+    When the first `gb_prefix` generators already form a Groebner basis under
+    `order`, as a checkpoint's previous basis does, pairs among them are
+    skipped, so extending a basis by a few elements costs only their pairs.
     """
-    generators = [g for g in generators if not g.is_zero()]
-    if not generators:
+    if all(g.is_zero() for g in generators):
         return []
     ring = generators[0].ring
     order = order or ring.canonical_order
-    basis = _prepared(generators, order)
-    if not _pair_loop(basis, order, ring, s_pair_cap):
+    basis = _prepared(generators[:gb_prefix], order)
+    start = len(basis)
+    basis += _prepared(generators[gb_prefix:], order)
+    if not _pair_loop(basis, order, ring, s_pair_cap, start):
         raise BudgetExceededError(f"S-pair budget of {s_pair_cap} exceeded")
     return _auto_reduce(basis, order, ring)
 

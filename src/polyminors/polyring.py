@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable
 
 MAX_EXPONENT = 1 << 16
@@ -169,11 +170,11 @@ class MonomialOrder:
         if len(exponents) != len(self.permutation):
             raise PolyError("monomial length does not match order")
         if self.kind == LEX:
-            return tuple(exponents[i] for i in self.permutation)
+            return tuple([exponents[i] for i in self.permutation])
         # GRevLex: total degree first; ties broken by scanning from the least
         # significant variable upward, larger exponent at the first difference
         # meaning smaller monomial.
-        return (sum(exponents),) + tuple(-exponents[i] for i in reversed(self.permutation))
+        return (sum(exponents), *[-exponents[i] for i in reversed(self.permutation)])
 
 
 def identity_order(kind: str, num_vars: int) -> MonomialOrder:
@@ -196,24 +197,24 @@ def compare_monomials(a: tuple, b: tuple, order: MonomialOrder) -> int:
 
 
 def monomial_mul(a: tuple, b: tuple) -> tuple:
-    out = tuple(x + y for x, y in zip(a, b))
-    if any(e >= MAX_EXPONENT for e in out):
+    out = tuple(map(add, a, b))
+    if out and max(out) >= MAX_EXPONENT:
         raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
     return out
 
 
 def monomial_divides(a: tuple, b: tuple) -> bool:
     """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: tuple, b: tuple) -> tuple:
     """Quotient a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class PolyRing:

@@ -115,6 +115,17 @@ class TestBuchberger:
             for g in ideal.generators:
                 assert normal_form(g, gb).is_zero()
 
+    def test_extending_a_basis_matches_a_fresh_run(self):
+        # Skipping the pairs of a known Groebner basis must not change the
+        # reduced basis, which is unique.
+        rng = random.Random(7)
+        for ideal in ideal_corpus():
+            order = ideal.ring.canonical_order
+            gb = ideal.groebner_basis(order)
+            extra = random_ideal(ideal.ring, rng, count=2).generators
+            fresh = buchberger(ideal.generators + extra, order)
+            assert buchberger(gb + extra, order, gb_prefix=len(gb)) == fresh
+
     def test_budget_error(self):
         R = PolyRing(QQ, ["x", "y", "z"])
         rng = random.Random(3)
