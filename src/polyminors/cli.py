@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, JSON reports, and the benchmark harness.
+"""Command-line interface: subcommands and their JSON or text reports.
 
 Exit codes: 0 = verified/true, 1 = false, 2 = inconclusive, 3 = errors.
 """
@@ -24,13 +24,11 @@ from .polylinalg import (
     DET_BAREISS,
     DET_COFACTOR,
     DET_RECURSIVE,
-    count_possible_minors,
     det_bareiss,
     det_cofactor,
-    random_matrix,
     recursive_minors,
 )
-from .polyring import QQ, PolyError, PolyRing
+from .polyring import PolyError
 from .problemfile import parse_problem_file
 from .selection import choose_good_minors, parse_strategy
 
@@ -98,16 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gb-dim", help="Krull dimension of the quotient by the ideal block")
     p.add_argument("file")
 
-    p = sub.add_parser("benchmark", help="time the determinant engines on random matrices")
-    p.add_argument("--rows", type=int, default=6)
-    p.add_argument("--cols", type=int, default=7)
-    p.add_argument("--size", type=int, default=5)
-    p.add_argument("--vars", type=int, default=2)
-    p.add_argument("--degrees", default="8", help="comma-separated entry degrees")
-    p.add_argument("--engines", default="bareiss,cofactor,recursive")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--csv", action="store_true")
-
     return parser
 
 
@@ -170,8 +158,6 @@ def main(argv=None) -> int:
     rng = random.Random(seed)
     started = time.time()
     try:
-        if args.command == "benchmark":
-            return _run_benchmark(args, seed)
         problem = parse_problem_file(args.file)
 
         if args.command == "minors":
@@ -258,57 +244,6 @@ def _all_choices(M, size):
         for r in combinations(range(M.nrows), size)
         for c in combinations(range(M.ncols), size)
     ]
-
-
-def benchmark(rows, cols, size, num_vars, degrees, engines, repetitions, seed):
-    """Time each determinant engine over random dense matrices; one row per degree.
-
-    Matrices are regenerated per degree from the seeded RNG so every engine
-    sees identical inputs.  Returns a list of result-row dicts.
-    """
-    table = []
-    for degree in degrees:
-        rng = random.Random(seed * 1_000_003 + degree)
-        ring = PolyRing(QQ, [f"x{i}" for i in range(num_vars)])
-        matrices = [
-            random_matrix(ring, rows, cols, degree, rng, homogeneous=True)
-            for _ in range(repetitions)
-        ]
-        row = {"degree": degree}
-        for engine in engines:
-            elapsed = 0.0
-            for M in matrices:
-                start = time.perf_counter()
-                if engine == "recursive":
-                    recursive_minors(size, M)
-                else:
-                    for c in _all_choices(M, size):
-                        sub = M.submatrix(c)
-                        det_bareiss(sub) if engine == "bareiss" else det_cofactor(sub)
-                elapsed += time.perf_counter() - start
-            row[engine] = elapsed / repetitions
-        table.append(row)
-    return table
-
-
-def _run_benchmark(args, seed) -> int:
-    degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    for e in engines:
-        if e not in _ENGINES:
-            raise PolyError(f"unknown engine {e!r}")
-    table = benchmark(args.rows, args.cols, args.size, args.vars, degrees,
-                      engines, args.reps, seed)
-    if args.format == "json":
-        print(json.dumps({"command": "benchmark", "seed": seed, "table": table}))
-        return EXIT_TRUE
-    sep = "," if args.csv else "  "
-    header = ["degree"] + engines
-    print(sep.join(h.ljust(10) if not args.csv else h for h in header))
-    for row in table:
-        cells = [str(row["degree"])] + [f"{row[e]:.4f}" for e in engines]
-        print(sep.join(c.ljust(10) if not args.csv else c for c in cells))
-    return EXIT_TRUE
 
 
 if __name__ == "__main__":

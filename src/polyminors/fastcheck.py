@@ -133,7 +133,11 @@ def _certify_rank(sub: PolyMatrix, r: int, rng) -> bool:
 
 
 def get_submatrix_of_rank(r: int, M: PolyMatrix, cfg: MinorLoopConfig = None, rng=None):
-    """Search for an r x r submatrix of rank r; None when the budget runs out."""
+    """Search for an r x r submatrix of rank r; None when the budget runs out.
+
+    Each distinct submatrix is certified at most once: the certificate ends in
+    an exact determinant, so a repeat that failed once fails again.
+    """
     if r < 1:
         raise PolyError("requested rank must be positive")
     if r > min(M.nrows, M.ncols):
@@ -144,11 +148,8 @@ def get_submatrix_of_rank(r: int, M: PolyMatrix, cfg: MinorLoopConfig = None, rn
     possible = count_possible_minors(M.nrows, M.ncols, r)
     budget = cfg.resolve_max_minors(1, possible)
     selector = MinorSelector(M, strategy, rng)
-    considered = 0
-    while considered < budget:
-        choice = selector.next_choice(r)
-        considered += 1
-        if _certify_rank(M.submatrix(choice), r, rng):
+    for choice in selector.draws(r, budget, possible):
+        if choice is not None and _certify_rank(M.submatrix(choice), r, rng):
             return choice
     return None
 
@@ -225,10 +226,8 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     schedule = checkpoint_schedule(min_minors, cfg.codim_check_base)
     next_check = next(schedule)
 
-    seen = set()
     minors = []
     pending = []
-    considered = 0
     current_gb = defining.groebner_basis(s_pair_cap=cfg.s_pair_cap)
     current_dim = d
     history = []
@@ -244,7 +243,8 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         """
         nonlocal current_gb, current_dim, pending
         cfg.log(
-            f"regularInCodimension: checkpoint considered = {considered} computed = {len(seen)}"
+            f"regularInCodimension: checkpoint considered = {selector.considered} "
+            f"computed = {selector.computed}"
         )
         try:
             reduced = [
@@ -274,40 +274,40 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         return current_dim == -1 or current_dim <= target_dim
 
     outcome = False
-    while considered < max_minors and len(seen) < possible:
-        choice = selector.next_choice(minor_size)
-        considered += 1
-        key = choice.key()
-        if key not in seen:
-            seen.add(key)
+    checked_at = None  # the considered count at the last checkpoint
+    for choice in selector.draws(minor_size, max_minors, possible):
+        if choice is not None:
             det = determinant(jac.submatrix(choice), cfg.det_strategy)
             if not det.is_zero():
                 minors.append(det)
                 pending.append(det)
                 selector.points_ideal = selector.points_ideal + [det]
-        if considered >= next_check:
-            while next_check <= considered:
+        if selector.considered >= next_check:
+            while next_check <= selector.considered:
                 next_check = next(schedule)
             outcome = run_checkpoint()
+            checked_at = selector.considered
             if outcome:
                 break
 
-    if not outcome:
+    # A checkpoint is deterministic, so rerunning one with no draw since
+    # would only repeat its answer.
+    if not outcome and checked_at != selector.considered:
         outcome = run_checkpoint()
 
     cfg.log(f"regularInCodimension: final dimension = {current_dim}")
     accumulated = Ideal(defining.generators + minors, ring)
     if outcome:
         result = True
-    elif outcome is False and len(seen) >= possible:
+    elif outcome is False and selector.computed >= possible:
         # Only a completed final checkpoint can refute the bound.
         result = False
     else:
         result = None
     return LoopReport(
         result=result,
-        considered=considered,
-        computed=len(seen),
+        considered=selector.considered,
+        computed=selector.computed,
         dimension=current_dim,
         minors=minors,
         accumulated=accumulated,
@@ -378,17 +378,11 @@ def proj_dim_upper_bound(complex_input: ChainComplexInput, min_dimension: int = 
             complex_input.ring.num_vars, possible, fallback=projdim_default_max_minors
         )
         selector = MinorSelector(d, strategy, rng)
-        seen = set()
         minors = []
-        considered = 0
         unit = False
-        while considered < budget and len(seen) < possible:
-            choice = selector.next_choice(expected_rank)
-            considered += 1
-            key = choice.key()
-            if key in seen:
+        for choice in selector.draws(expected_rank, budget, possible):
+            if choice is None:
                 continue
-            seen.add(key)
             det = determinant(d.submatrix(choice), cfg.det_strategy)
             if det.is_zero():
                 continue

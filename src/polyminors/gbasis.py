@@ -131,7 +131,8 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0) -> bool:
     so far, a nonzero remainder joining it.  The first `start` entries must
     already form a Groebner basis: pairs among them are never queued and
     count as done.  Returns True when the queue emptied before `limit` pairs
-    had been taken from it, False otherwise.
+    had been taken from it or a remainder was a nonzero constant (the unit
+    ideal, whose basis is complete), False otherwise.
     """
     pairs = []
     done = set()
@@ -175,6 +176,8 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0) -> bool:
         if rem.is_zero():
             continue
         basis.extend(_prepared([rem], order))
+        if rem.is_constant():
+            return True
         new = len(basis) - 1
         for t in range(new):
             push_pair(t, new)
@@ -366,18 +369,11 @@ def is_codim_at_least(c: int, ideal: Ideal, order: MonomialOrder = None,
 
 
 class RingPresentation:
-    """An ambient polynomial ring with a defining ideal and cached dimension."""
+    """An ambient polynomial ring with a defining ideal."""
 
     def __init__(self, ideal: Ideal):
         self.ideal = ideal
         self.ring = ideal.ring
-
-    @property
-    def num_vars(self) -> int:
-        return self.ring.num_vars
-
-    def dim_quotient(self) -> int:
-        return dim_quotient(self.ideal)
 
     def __repr__(self):
         return f"RingPresentation({self.ring}, {len(self.ideal.generators)} generators)"

@@ -317,10 +317,10 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def sorted_terms(self, order: MonomialOrder = None, reverse: bool = True):
-        """(monomial, coefficient) pairs, descending under the order by default."""
+    def sorted_terms(self, order: MonomialOrder = None):
+        """(monomial, coefficient) pairs, descending under the order."""
         order = order or self.ring.canonical_order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def lead_term(self, order: MonomialOrder = None):
         """(monomial, coefficient) of the largest term under the order."""
@@ -329,14 +329,6 @@ class Polynomial:
         order = order or self.ring.canonical_order
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
-
-    def extremal_term(self, order: MonomialOrder, direction: str = SMALLEST) -> "Polynomial":
-        """The single smallest or largest term of a nonzero polynomial."""
-        if not self.terms:
-            raise PolyError("extremal_term of the zero polynomial")
-        pick = min if direction == SMALLEST else max
-        m = pick(self.terms, key=order.key)
-        return Polynomial(self.ring, {m: self.terms[m]})
 
     def extremal_monomial(self, order: MonomialOrder, direction: str = SMALLEST) -> tuple:
         if not self.terms:

@@ -176,11 +176,10 @@ class WorkingMatrix:
     undone every MUTATION_RESET_PERIOD selections.
     """
 
-    def __init__(self, original: PolyMatrix, reset_period: int = MUTATION_RESET_PERIOD):
+    def __init__(self, original: PolyMatrix):
         self.original = original
         self.mutated = [list(row) for row in original.entries]
         self.selections_since_reset = 0
-        self.reset_period = reset_period
 
     def mutated_entry(self, i: int, j: int):
         return self.mutated[i][j]
@@ -200,7 +199,7 @@ class WorkingMatrix:
                 terms.append((field.random_nonzero(rng), tuple(exps)))
             self.mutated[i][j] = entry * ring.from_terms(terms)
         self.selections_since_reset += 1
-        if self.selections_since_reset >= self.reset_period:
+        if self.selections_since_reset >= MUTATION_RESET_PERIOD:
             self.reset()
 
     def reset(self):
@@ -296,7 +295,7 @@ def choose_submatrix_random(method: SelectionMethod, size: int, M: PolyMatrix, r
     return SubmatrixChoice(tuple(rows), tuple(cols))
 
 
-def find_point(J: Ideal, rng, attempts: int = DEFAULT_POINT_ATTEMPTS):
+def find_point(J: Ideal, rng):
     """A random F_p-rational point where every generator of J vanishes, or None.
 
     Small search spaces (p^n <= 10^6) are swept exhaustively in random order,
@@ -325,16 +324,14 @@ def find_point(J: Ideal, rng, attempts: int = DEFAULT_POINT_ATTEMPTS):
             if vanishes(pt):
                 return pt
         return None
-    for _ in range(attempts):
+    for _ in range(DEFAULT_POINT_ATTEMPTS):
         pt = tuple(rng.randrange(p) for _ in range(n))
         if vanishes(pt):
             return pt
     return None
 
 
-def choose_submatrix_points(size: int, M: PolyMatrix, J: Ideal, rng,
-                            attempts: int = DEFAULT_POINT_ATTEMPTS,
-                            point=None) -> SubmatrixChoice:
+def choose_submatrix_points(size: int, M: PolyMatrix, J: Ideal, rng, point=None) -> SubmatrixChoice:
     """Evaluate M at a point of V(J) and return a full-rank pivot block.
 
     Over characteristic 0 this degrades to the Random method.  A forced
@@ -344,7 +341,7 @@ def choose_submatrix_points(size: int, M: PolyMatrix, J: Ideal, rng,
     if not field.is_prime_field:
         return choose_submatrix_random(SelectionMethod.RANDOM, size, M, rng)
     if point is None:
-        point = find_point(J, rng, attempts)
+        point = find_point(J, rng)
         if point is None:
             raise SelectionFailedError("no rational point found")
     grid = M.evaluate(point)
@@ -370,42 +367,56 @@ class MinorSelector:
 
     Selection failures degrade greedy and point methods to RandomNonzero and
     finally Random.  The points ideal can be updated between draws as minors
-    accumulate.
+    accumulate.  `draws` is the one draw loop of every minor search; the
+    selector counts its draws as `considered` and the distinct submatrices
+    among them as `computed`.
     """
 
-    def __init__(self, M: PolyMatrix, strategy: StrategyTable, rng, points_ideal: Ideal = None,
-                 point_attempts: int = DEFAULT_POINT_ATTEMPTS):
+    def __init__(self, M: PolyMatrix, strategy: StrategyTable, rng, points_ideal: Ideal = None):
         self.M = M
         self.strategy = strategy
         self.rng = rng
         self.points_ideal = points_ideal
-        self.point_attempts = point_attempts
         self.working = WorkingMatrix(M)
+        self.considered = 0
+        self.seen = set()
+
+    @property
+    def computed(self) -> int:
+        return len(self.seen)
+
+    def draws(self, size: int, limit: float, possible: int = None):
+        """Draw until `limit` draws or, given `possible`, every distinct submatrix.
+
+        Yields one item per draw: the choice when its submatrix is new, None
+        when it repeats one drawn before.
+        """
+        while self.considered < limit and (possible is None or self.computed < possible):
+            choice = self.next_choice(size)
+            self.considered += 1
+            key = choice.key()
+            if key in self.seen:
+                yield None
+                continue
+            self.seen.add(key)
+            yield choice
 
     def next_choice(self, size: int) -> SubmatrixChoice:
         method = self.strategy.draw(self.rng)
         return self.choice_by_method(method, size)
 
     def choice_by_method(self, method: SelectionMethod, size: int) -> SubmatrixChoice:
-        if method == SelectionMethod.POINTS:
-            if not self.M.ring.field.is_prime_field:
-                return choose_submatrix_random(SelectionMethod.RANDOM, size, self.M, self.rng)
-            try:
+        try:
+            if method == SelectionMethod.POINTS:
                 ideal = self.points_ideal or Ideal([], self.M.ring)
-                return choose_submatrix_points(size, self.M, ideal, self.rng, self.point_attempts)
-            except SelectionFailedError:
-                return self._fallback(size)
-        if method in _GREEDY_METHODS:
-            try:
+                return choose_submatrix_points(size, self.M, ideal, self.rng)
+            if method in _GREEDY_METHODS:
                 return choose_submatrix_greedy(method, size, self.working, self.rng)
-            except SelectionFailedError:
-                return self._fallback(size)
-        if method == SelectionMethod.RANDOM_NONZERO:
-            try:
-                return choose_submatrix_random(method, size, self.M, self.rng)
-            except SelectionFailedError:
-                return choose_submatrix_random(SelectionMethod.RANDOM, size, self.M, self.rng)
-        return choose_submatrix_random(SelectionMethod.RANDOM, size, self.M, self.rng)
+        except SelectionFailedError:
+            pass
+        if method == SelectionMethod.RANDOM:
+            return choose_submatrix_random(method, size, self.M, self.rng)
+        return self._fallback(size)
 
     def _fallback(self, size: int) -> SubmatrixChoice:
         try:
@@ -426,20 +437,14 @@ def choose_good_minors(count: int, size: int, M: PolyMatrix, strategy: StrategyT
     if size > min(M.nrows, M.ncols) or size < 1:
         raise PolyError(f"minor size {size} out of range")
     selector = MinorSelector(M, strategy, rng, points_ideal)
-    seen = set()
     minors = []
-    considered = 0
-    for _ in range(count):
-        choice = selector.next_choice(size)
-        considered += 1
-        key = choice.key()
-        if key in seen:
+    for choice in selector.draws(size, count):
+        if choice is None:
             continue
-        seen.add(key)
         det = determinant(M.submatrix(choice), det_engine)
         if not det.is_zero():
             minors.append(det)
             if selector.points_ideal is not None:
                 selector.points_ideal = selector.points_ideal + [det]
-    stats = {"considered": considered, "computed": len(seen)}
+    stats = {"considered": selector.considered, "computed": selector.computed}
     return Ideal(minors, M.ring), stats

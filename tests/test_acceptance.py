@@ -188,12 +188,24 @@ def test_criterion_7_strategy_efficiency(capsys, curve_ideal):
 
 
 def test_criterion_8_benchmark_ordering_report_only(capsys):
-    from polyminors.cli import benchmark
-
     full = os.environ.get("POLYMINORS_FULL_BENCH") == "1"
     degree = 8 if full else 4
-    row = benchmark(6, 7, 5, 2, [degree], ["bareiss", "cofactor", "recursive"],
-                    repetitions=1, seed=1)[0]
+    seed = 1
+    rng = random.Random(seed * 1_000_003 + degree)
+    ring = PolyRing(QQ, ["x0", "x1"])
+    M = random_matrix(ring, 6, 7, degree, rng, homogeneous=True)
+    choices = [SubmatrixChoice(r, c) for r in combinations(range(6), 5)
+               for c in combinations(range(7), 5)]
+    engines = {
+        "bareiss": lambda: [det_bareiss(M.submatrix(c)) for c in choices],
+        "cofactor": lambda: [det_cofactor(M.submatrix(c)) for c in choices],
+        "recursive": lambda: recursive_minors(5, M),
+    }
+    row = {}
+    for name, run in engines.items():
+        start = time.perf_counter()
+        run()
+        row[name] = time.perf_counter() - start
     ordering_ok = row["recursive"] < row["bareiss"] and row["recursive"] < row["cofactor"]
     with capsys.disabled():
         print(f"\n[acceptance] criterion 8: REPORT — degree {degree} "

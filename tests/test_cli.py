@@ -1,4 +1,4 @@
-"""CLI subcommands, exit codes, JSON determinism, and the benchmark table."""
+"""CLI subcommands, exit codes, and JSON determinism."""
 
 import json
 
@@ -9,7 +9,6 @@ from polyminors.cli import (
     EXIT_FALSE,
     EXIT_INCONCLUSIVE,
     EXIT_TRUE,
-    benchmark,
     main,
 )
 from tests.conftest import SEC51_GENERATORS
@@ -228,26 +227,3 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             main(["minors", matrix_file, "--size", "eel"])
         assert info.value.code == EXIT_ERROR
-
-
-class TestBenchmark:
-    def test_table_shape(self):
-        table = benchmark(3, 4, 2, 1, [1, 2], ["bareiss", "recursive"],
-                          repetitions=1, seed=1)
-        assert [row["degree"] for row in table] == [1, 2]
-        for row in table:
-            assert set(row) == {"degree", "bareiss", "recursive"}
-            assert all(v >= 0 for k, v in row.items() if k != "degree")
-
-    def test_cli_benchmark_json(self, capsys):
-        code, rep = run_json(
-            capsys,
-            ["--seed", "1", "--format", "json", "benchmark", "--rows", "3",
-             "--cols", "4", "--size", "2", "--vars", "1", "--degrees", "1",
-             "--engines", "bareiss,cofactor"])
-        assert code == EXIT_TRUE
-        assert len(rep["table"]) == 1
-
-    def test_unknown_engine(self):
-        code = main(["benchmark", "--engines", "eel"])
-        assert code == EXIT_ERROR

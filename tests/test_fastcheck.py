@@ -28,7 +28,8 @@ from polyminors import (
     regular_in_codimension,
     symbolic_rank,
 )
-from polyminors.polylinalg import random_matrix
+from polyminors import fastcheck
+from polyminors.polylinalg import count_possible_minors, random_matrix
 from polyminors.polyring import PolyError
 
 
@@ -138,6 +139,24 @@ class TestRankSearch:
         with pytest.raises(PolyError):
             get_submatrix_of_rank(0, M, MinorLoopConfig(), random.Random(0))
 
+    def test_each_distinct_submatrix_certified_once(self, monkeypatch):
+        # Rank 3, so no 4 x 4 certificate exists and the search runs until
+        # every one of the possible submatrices has been drawn.
+        rng = random.Random(11)
+        ring = PolyRing(GF(101), ["a", "b"])
+        M = random_matrix(ring, 5, 3, 1, rng) * random_matrix(ring, 3, 6, 1, rng)
+        certified = []
+        real = fastcheck._certify_rank
+
+        def counting(sub, r, rng):
+            certified.append(tuple(tuple(map(str, row)) for row in sub.entries))
+            return real(sub, r, rng)
+
+        monkeypatch.setattr(fastcheck, "_certify_rank", counting)
+        cfg = MinorLoopConfig(max_minors=400)
+        assert get_submatrix_of_rank(4, M, cfg, random.Random(0)) is None
+        assert len(certified) == len(set(certified)) == count_possible_minors(5, 6, 4)
+
 
 class TestRegularInCodimension:
     def test_unit_defining_ideal(self):
@@ -222,10 +241,13 @@ class TestRegularInCodimension:
         stream = io.StringIO()
         cfg = MinorLoopConfig(s_pair_cap=0, verbose=True, log_stream=stream)
         report = regular_in_codimension(0, RingPresentation(I), cfg, random.Random(0))
-        assert report.computed == 2
+        assert (report.considered, report.computed) == (11, 2)
         assert report.result is None
-        assert "S-pair budget of 0 exceeded" in stream.getvalue()
-        assert "fast codim bound" not in stream.getvalue()
+        log = stream.getvalue()
+        assert "S-pair budget of 0 exceeded" in log
+        assert "fast codim bound" not in log
+        # The last in-loop checkpoint ran at the last draw; it is not repeated.
+        assert log.count("checkpoint considered = 11 ") == 1
         report = regular_in_codimension(
             0, RingPresentation(I), MinorLoopConfig(), random.Random(0))
         assert report.result is True

@@ -187,6 +187,13 @@ class TestUnitIdeal:
         assert is_unit_ideal(Ideal([x + 1, x], R))
         assert not is_unit_ideal(Ideal([x, y], R))
 
+    def test_constant_remainder_stops_the_pair_loop(self):
+        # The one S-pair gives the constant 1; no further pair is needed.
+        R = PolyRing(QQ, ["x"])
+        x = R.gens()[0]
+        assert is_unit_ideal(Ideal([x + 1, x], R), s_pair_cap=1)
+        assert buchberger([x + 1, x], s_pair_cap=1) == [R.one()]
+
 
 class TestVertexCoverAndDimension:
     def exhaustive_cover(self, supports, n):

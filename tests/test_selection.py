@@ -253,6 +253,26 @@ class TestMinorSelector:
         choice = selector.next_choice(2)
         assert choice.size == 2
 
+    def test_draws_mark_repeats_and_stop_at_possible(self):
+        # 2 x 2 matrix, size 1: four distinct submatrices in all.
+        ring = PolyRing(GF(101), ["x"])
+        M = random_matrix(ring, 2, 2, 1, random.Random(0))
+        selector = MinorSelector(M, builtin_strategy("StrategyRandom"), random.Random(0))
+        drawn = list(selector.draws(1, 100, possible=4))
+        new = [c.key() for c in drawn if c is not None]
+        assert len(new) == len(set(new)) == 4
+        assert None in drawn  # some draw repeated an earlier submatrix
+        assert drawn[-1] is not None  # the loop stopped at the fourth new one
+        assert (selector.considered, selector.computed) == (len(drawn), 4)
+
+    def test_draws_without_possible_stop_at_limit(self):
+        ring = PolyRing(GF(101), ["x"])
+        M = random_matrix(ring, 2, 2, 1, random.Random(0))
+        selector = MinorSelector(M, builtin_strategy("StrategyRandom"), random.Random(0))
+        drawn = list(selector.draws(1, 30))
+        assert len(drawn) == selector.considered == 30
+        assert selector.computed == sum(c is not None for c in drawn) == 4
+
 
 class TestChooseGoodMinors:
     def test_dedup_contract(self):
