@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import heapq
-from operator import neg
 
 from .polyring import (
     MonomialOrder,
     PolyError,
     Polynomial,
     PolyRing,
+    _heap_key,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -22,11 +22,6 @@ CODIM_PROBE_REDUCTIONS = 50
 
 class BudgetExceededError(PolyError):
     """Raised when the S-pair budget runs out; never a mathematical answer."""
-
-
-def _heap_key(order: MonomialOrder, mono: tuple):
-    # Negate the ascending order key so heapq pops the largest monomial first.
-    return tuple(map(neg, order.key(mono)))
 
 
 def _support_mask(mono: tuple) -> int:
@@ -123,77 +118,140 @@ def _spoly_terms(f_lm, f_terms, g_lm, g_terms, order, ring):
     return acc
 
 
-def _pair_loop(basis, order, ring, limit: int, start: int = 0) -> bool:
+# How a run of _pair_loop ended.
+_COMPLETE = "complete"  # the queue emptied, or a nonzero constant joined
+_PAIR_LIMIT = "pair limit"  # `limit` pairs were taken and live pairs remain
+_CODIM_REACHED = "codim reached"  # the heads reached the requested codimension
+
+
+def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: int = None) -> str:
     """Extend a list of prepared entries in place with S-pair remainders.
 
-    Pairs leave the queue smallest lcm first; coprime-lead and chain criteria
-    discard pairs, and every other pair's S-polynomial is reduced by the basis
-    so far, a nonzero remainder joining it.  The first `start` entries must
-    already form a Groebner basis: pairs among them are never queued and
-    count as done.  Returns True when the queue emptied before `limit` pairs
-    had been taken from it or a remainder was a nonzero constant (the unit
-    ideal, whose basis is complete), False otherwise.
+    Entries join one at a time through the Gebauer-Moeller update.  A joining
+    entry h is paired with every useful entry (one whose lead no later lead
+    divides).  Of those pairs only one per minimal lcm is queued, and none
+    whose lcm a coprime pair also has.  A queued pair (i, j) is dropped when
+    lead(h) divides its lcm and neither lcm(lead(i), lead(h)) nor
+    lcm(lead(j), lead(h)) equals it.  Then h retires every useful entry
+    whose lead its lead divides.
+    Pairs leave the queue by least sugar, then least lcm.  Each one's
+    S-polynomial is reduced by all entries, and a nonzero remainder joins
+    with the pair's sugar; an input's sugar is its total degree.
+
+    The first `start` entries must already form a Groebner basis: they start
+    as the useful entries, with no pair among them.  With `codim_at_least`,
+    the loop stops as soon as the heads so far generate a monomial ideal of
+    that codimension, tested on the input heads and then whenever a head
+    brings a new minimal variable support.
+
+    Returns _PAIR_LIMIT when `limit` pairs have been taken from the queue and
+    live pairs remain (pairs the update drops are never taken),
+    _CODIM_REACHED at the codimension stop, and _COMPLETE when the queue
+    emptied or a remainder was a nonzero constant (the unit ideal, whose
+    basis is complete).
     """
-    pairs = []
-    done = set()
+    num_vars = ring.num_vars
+    sugar = [max(sum(m) for m, _ in entry[2]) for entry in basis]
+    useful = list(range(start))
+    live = {}  # (i, j) -> (lcm, its support mask) for pairs still queued
+    queue = []  # (sugar, order key of lcm, i, j); dropped pairs are skipped lazily
 
-    def push_pair(i, j):
-        l = monomial_lcm(basis[i][0], basis[j][0])
-        heapq.heappush(pairs, (order.key(l), i, j))
+    def join(h):
+        nonlocal useful
+        lm_h, mask_h = basis[h][0], basis[h][1]
+        deg_h = sum(lm_h)
+        # lcm -> [sugar, i, support mask, some pair with it is coprime]
+        by_lcm = {}
+        for g in useful:
+            lm_g, mask_g = basis[g][0], basis[g][1]
+            l = monomial_lcm(lm_g, lm_h)
+            deg_l = sum(l)
+            pair_sugar = max(sugar[g] + deg_l - sum(lm_g), sugar[h] + deg_l - deg_h)
+            coprime = not mask_g & mask_h
+            seen = by_lcm.get(l)
+            if seen is None:
+                by_lcm[l] = [pair_sugar, g, mask_g | mask_h, coprime]
+            else:
+                if pair_sugar < seen[0]:
+                    seen[0], seen[1] = pair_sugar, g
+                seen[3] = seen[3] or coprime
+        # Criterion B_k on the queued pairs.
+        for key, (l, l_mask) in list(live.items()):
+            if mask_h & ~l_mask or not monomial_divides(lm_h, l):
+                continue
+            i, j = key
+            if monomial_lcm(basis[i][0], lm_h) != l and monomial_lcm(basis[j][0], lm_h) != l:
+                del live[key]
+        # Criteria M and F: a strict divisor of a lcm has a smaller degree.
+        minimal = []
+        for l in sorted(by_lcm, key=sum):
+            pair_sugar, g, l_mask, coprime = by_lcm[l]
+            not_l = ~l_mask
+            if any(not m_mask & not_l and monomial_divides(m, l) for m, m_mask in minimal):
+                continue
+            minimal.append((l, l_mask))
+            if not coprime:
+                live[(g, h)] = (l, l_mask)
+                heapq.heappush(queue, (pair_sugar, order.key(l), g, h))
+        useful = [g for g in useful
+                  if mask_h & ~basis[g][1] or not monomial_divides(lm_h, basis[g][0])]
+        useful.append(h)
 
-    for j in range(start, len(basis)):
-        for i in range(j):
-            push_pair(i, j)
+    if codim_at_least is not None:
+        supports = _head_supports([entry[0] for entry in basis], num_vars)
+        if _supports_codim(supports, num_vars) >= codim_at_least:
+            return _CODIM_REACHED
+    for h in range(start, len(basis)):
+        join(h)
 
     taken = 0
-    while pairs:
+    while True:
+        while queue and (queue[0][2], queue[0][3]) not in live:
+            heapq.heappop(queue)
+        if not queue:
+            return _COMPLETE
         if taken >= limit:
-            return False
-        _, i, j = heapq.heappop(pairs)
+            return _PAIR_LIMIT
+        pair_sugar, _, i, j = heapq.heappop(queue)
+        del live[(i, j)]
         taken += 1
-        done.add((i, j))
-        lm_i, lm_j = basis[i][0], basis[j][0]
-        l = monomial_lcm(lm_i, lm_j)
-        # First criterion: coprime lead terms.
-        if l == monomial_mul(lm_i, lm_j):
-            continue
-        # Chain criterion: some k divides the lcm and both side pairs are done.
-        skip = False
-        not_l = ~_support_mask(l)
-        for k in range(len(basis)):
-            if k in (i, j) or basis[k][1] & not_l:
-                continue
-            if monomial_divides(basis[k][0], l):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if (a[1] < start or a in done) and (b[1] < start or b in done):
-                    skip = True
-                    break
-        if skip:
-            continue
-        s_terms = _spoly_terms(lm_i, basis[i][2], lm_j, basis[j][2], order, ring)
+        s_terms = _spoly_terms(basis[i][0], basis[i][2], basis[j][0], basis[j][2], order, ring)
         rem = _reduce_prepared(s_terms, basis, order, ring)
         if rem.is_zero():
             continue
         basis.extend(_prepared([rem], order))
+        sugar.append(pair_sugar)
+        h = len(basis) - 1
+        if codim_at_least is not None:
+            support = _support(basis[h][0])
+            if not any(t <= support for t in supports):
+                supports = [t for t in supports if not support < t] + [support]
+                if _supports_codim(supports, num_vars) >= codim_at_least:
+                    return _CODIM_REACHED
         if rem.is_constant():
-            return True
-        new = len(basis) - 1
-        for t in range(new):
-            push_pair(t, new)
-    return True
+            return _COMPLETE
+        join(h)
 
 
 def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP,
-               gb_prefix: int = 0):
+               gb_prefix: int = 0, codim_at_least: int = None):
     """Reduced monic Groebner basis of the ideal generated by `generators`.
 
-    Runs the S-pair loop with at most `s_pair_cap` pairs taken from the queue,
-    counting those the criteria discard.  When pairs remain past the cap it
-    raises BudgetExceededError rather than ever returning a wrong basis.
-    When the first `gb_prefix` generators already form a Groebner basis under
-    `order`, as a checkpoint's previous basis does, pairs among them are
-    skipped, so extending a basis by a few elements costs only their pairs.
+    Runs the S-pair loop with at most `s_pair_cap` pairs taken from the queue;
+    pairs the Gebauer-Moeller update drops are never taken, so they do not
+    count.  When pairs remain past the cap it raises BudgetExceededError
+    rather than ever returning a wrong basis.  When the first `gb_prefix`
+    generators already form a Groebner basis under `order`, as a
+    checkpoint's previous basis does, pairs among them are skipped, so
+    extending a basis by a few elements costs only their pairs.
+
+    With `codim_at_least` = c the loop stops as soon as the heads found so
+    far generate a monomial ideal of codimension at least c.  Those heads lie
+    in the initial ideal, so then codim(I) >= c, and the entries found so far
+    are returned, monic and unreduced: they generate the ideal and their
+    heads lie in in(I), but they need not form a Groebner basis.  The stop is
+    tested before the cap, so it can answer where the cap alone would raise.
+    When the heads never reach c, the result is the reduced basis.
     """
     if all(g.is_zero() for g in generators):
         return []
@@ -202,8 +260,11 @@ def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAUL
     basis = _prepared(generators[:gb_prefix], order)
     start = len(basis)
     basis += _prepared(generators[gb_prefix:], order)
-    if not _pair_loop(basis, order, ring, s_pair_cap, start):
+    outcome = _pair_loop(basis, order, ring, s_pair_cap, start, codim_at_least)
+    if outcome is _PAIR_LIMIT:
         raise BudgetExceededError(f"S-pair budget of {s_pair_cap} exceeded")
+    if outcome is _CODIM_REACHED:
+        return [Polynomial(ring, dict(terms)) for _, _, terms in basis]
     return _auto_reduce(basis, order, ring)
 
 
@@ -279,10 +340,21 @@ def is_unit_ideal(ideal: Ideal, order: MonomialOrder = None, s_pair_cap: int = D
     return any(g.is_constant() and not g.is_zero() for g in gb)
 
 
+def _support(mono: tuple) -> frozenset:
+    return frozenset(i for i, e in enumerate(mono) if e)
+
+
 def _head_supports(heads, num_vars):
     """Minimal distinct variable supports of a set of head monomials."""
-    supports = {frozenset(i for i, e in enumerate(m) if e) for m in heads}
+    supports = {_support(m) for m in heads}
     return [s for s in supports if not any(t < s for t in supports)]
+
+
+def _supports_codim(supports, num_vars: int) -> int:
+    """Codimension of a monomial ideal from its generators' minimal supports."""
+    if frozenset() in supports:
+        return num_vars + 1
+    return minimum_vertex_cover(supports)
 
 
 def minimum_vertex_cover(supports) -> int:
@@ -310,11 +382,7 @@ def monomial_ideal_codim(heads, num_vars: int) -> int:
 
     The zero ideal has codim 0; a unit monomial ideal has codim num_vars + 1.
     """
-    heads = [m for m in heads]
-    if any(not any(m) for m in heads):
-        return num_vars + 1
-    supports = _head_supports(heads, num_vars)
-    return minimum_vertex_cover(supports)
+    return _supports_codim(_head_supports(heads, num_vars), num_vars)
 
 
 def dim_quotient(ideal: Ideal, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP) -> int:
@@ -347,10 +415,10 @@ def is_codim_at_least(c: int, ideal: Ideal, order: MonomialOrder = None,
     """Sound fast lower-bound test: True, or None when inconclusive.
 
     Runs the S-pair loop of `buchberger` on the generators, stopped after
-    `max_reductions` pairs taken from the queue (the unit of `s_pair_cap`,
-    so pairs the criteria discard count too).  The heads found so far
-    generate a monomial ideal inside the initial ideal, so its codimension
-    bounds codim(I) from below.  Never returns False.
+    `max_reductions` pairs taken from the queue (the unit of `s_pair_cap`)
+    or as soon as the heads found so far have codimension at least c.  Those
+    heads generate a monomial ideal inside the initial ideal, so its
+    codimension bounds codim(I) from below.  Never returns False.
     """
     if c < 0:
         raise PolyError("codimension bound must be nonnegative")
@@ -361,9 +429,7 @@ def is_codim_at_least(c: int, ideal: Ideal, order: MonomialOrder = None,
     basis = _prepared(ideal.generators, order)
     if not basis:
         return None
-    _pair_loop(basis, order, ring, max_reductions)
-    heads = [entry[0] for entry in basis]
-    if monomial_ideal_codim(heads, ring.num_vars) >= c:
+    if _pair_loop(basis, order, ring, max_reductions, codim_at_least=c) is _CODIM_REACHED:
         return True
     return None
 

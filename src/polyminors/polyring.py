@@ -8,10 +8,11 @@ exponent tuples to nonzero coefficients.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, neg, sub
 from typing import Iterable
 
 MAX_EXPONENT = 1 << 16
@@ -194,6 +195,11 @@ def compare_monomials(a: tuple, b: tuple, order: MonomialOrder) -> int:
         raise PolyError("monomial length mismatch")
     ka, kb = order.key(a), order.key(b)
     return (ka > kb) - (ka < kb)
+
+
+def _heap_key(order: MonomialOrder, mono: tuple):
+    # Negate the ascending order key so heapq pops the largest monomial first.
+    return tuple(map(neg, order.key(mono)))
 
 
 def monomial_mul(a: tuple, b: tuple) -> tuple:
@@ -459,18 +465,26 @@ class Polynomial:
         dm, dc = divisor.lead_term(order)
         dc_inv = field.inv(dc)
         rem = dict(self.terms)
+        # Lazy deletion: a popped monomial no longer in rem was cancelled.
+        heap = [(_heap_key(order, m), m) for m in rem]
+        heapq.heapify(heap)
         quot = {}
-        while rem:
-            m = max(rem, key=order.key)
+        while heap:
+            _, m = heapq.heappop(heap)
+            c = rem.get(m)
+            if not c:
+                continue
             if not monomial_divides(dm, m):
                 raise PolyError("inexact polynomial division")
             qm = monomial_div(m, dm)
-            qc = field.mul(rem[m], dc_inv)
+            qc = field.mul(c, dc_inv)
             quot[qm] = qc
             for m2, c2 in divisor.terms.items():
                 t = monomial_mul(qm, m2)
                 s = field.sub(rem.get(t, field.zero), field.mul(qc, c2))
                 if s:
+                    if t not in rem:
+                        heapq.heappush(heap, (_heap_key(order, t), t))
                     rem[t] = s
                 else:
                     rem.pop(t, None)

@@ -233,24 +233,55 @@ class TestRegularInCodimension:
         assert re.search(r"regularInCodimension: final dimension = -?\d+", log)
 
     def test_budget_failure_is_inconclusive(self):
-        # Every submatrix gets computed, but no checkpoint completes a basis
-        # under a zero S-pair cap, so the bound is never refuted.
+        # Every submatrix gets computed, but the one checkpoint cannot take
+        # the pair its basis needs under a zero S-pair cap, so the bound is
+        # never refuted.
+        ring = PolyRing(GF(101), ["x", "y"])
+        x, y = ring.gens()
+        I = Ideal([x * y], ring)
+        stream = io.StringIO()
+        cfg = MinorLoopConfig(s_pair_cap=0, verbose=True, log_stream=stream)
+        report = regular_in_codimension(1, RingPresentation(I), cfg, random.Random(0))
+        assert (report.considered, report.computed) == (3, 2)
+        assert report.result is None
+        log = stream.getvalue()
+        assert "S-pair budget of 0 exceeded" in log
+        assert "fast codim bound" not in log
+        # The last in-loop checkpoint ran at the last draw; it is not repeated.
+        assert log.count("checkpoint considered = 3 ") == 1
+        # With the default cap the bound fails on a complete basis.
+        report = regular_in_codimension(
+            1, RingPresentation(I), MinorLoopConfig(), random.Random(0))
+        assert report.result is False
+
+    def test_early_exit_answers_under_a_zero_cap(self):
+        # The drawn minor 1 is a constant head: the bound holds before any
+        # S-pair is taken, so the zero cap is never reached.
         ring = PolyRing(GF(101), ["x", "y"])
         x, y = ring.gens()
         I = Ideal([y - x * x], ring)
         stream = io.StringIO()
         cfg = MinorLoopConfig(s_pair_cap=0, verbose=True, log_stream=stream)
         report = regular_in_codimension(0, RingPresentation(I), cfg, random.Random(0))
-        assert (report.considered, report.computed) == (11, 2)
-        assert report.result is None
+        assert (report.result, report.considered, report.computed) == (True, 5, 1)
+        assert report.dimension == -1
         log = stream.getvalue()
-        assert "S-pair budget of 0 exceeded" in log
-        assert "fast codim bound" not in log
-        # The last in-loop checkpoint ran at the last draw; it is not repeated.
-        assert log.count("checkpoint considered = 11 ") == 1
+        assert "fast codim bound succeeded" in log
+        assert "S-pair budget" not in log
+
+    @pytest.mark.parametrize("seed, stop", [
+        (0, (7, 7, True, 1)),
+        (1, (11, 11, True, 3)),
+        (2, (14, 14, True, 4)),
+    ])
+    def test_curve_stop_points(self, curve_ideal, seed, stop):
+        # The early exit must not move a stop point: a checkpoint succeeds
+        # with it exactly when it would succeed on the full basis.
         report = regular_in_codimension(
-            0, RingPresentation(I), MinorLoopConfig(), random.Random(0))
-        assert report.result is True
+            1, RingPresentation(curve_ideal), MinorLoopConfig(), random.Random(seed))
+        got = (report.considered, report.computed, report.result, len(report.dimension_history))
+        assert got == stop
+        assert report.dimension <= 1
 
     def test_report_counters_consistent(self, curve_ideal):
         report = regular_in_codimension(

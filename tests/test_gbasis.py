@@ -134,6 +134,35 @@ class TestBuchberger:
             buchberger(gens, s_pair_cap=1)
 
 
+class TestCodimStop:
+    def test_corpus_sweep(self):
+        # Stopped early, the entries lie in the ideal and prove the bound;
+        # otherwise the result is the reduced basis.
+        for ideal in ideal_corpus():
+            n = ideal.ring.num_vars
+            order = ideal.ring.canonical_order
+            full = buchberger(ideal.generators, order)
+            for c in range(0, n + 2):
+                got = buchberger(ideal.generators, order, codim_at_least=c)
+                heads = [g.lead_term(order)[0] for g in got]
+                if monomial_ideal_codim(heads, n) >= c:
+                    assert codim_quotient(ideal) >= c
+                    assert all(normal_form(g, full, order).is_zero() for g in got)
+                else:
+                    assert got == full
+
+    def test_stop_answers_where_the_cap_raises(self):
+        # The constant head gives codim 3 before any pair is taken, while a
+        # pair with x^2 as lcm stays queued.
+        R = PolyRing(GF(101), ["x", "y"])
+        x, y = R.gens()
+        gens = [y - x * x, x, R.one()]
+        with pytest.raises(BudgetExceededError):
+            buchberger(gens, s_pair_cap=0)
+        got = buchberger(gens, s_pair_cap=0, codim_at_least=2)
+        assert R.one() in got
+
+
 class TestNormalForm:
     def test_remainder_not_divisible(self):
         R = PolyRing(QQ, ["x", "y"])

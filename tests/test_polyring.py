@@ -175,13 +175,20 @@ class TestArithmetic:
         assert m.lead_term()[1] == 1
         assert m == ring_xy.parse("x^2 + 2*y")
 
-    def test_exact_divide(self, ring_xy, rng):
-        for _ in range(20):
-            f = random_polynomial(ring_xy, 3, rng)
-            g = random_polynomial(ring_xy, 3, rng)
-            if g.is_zero():
-                continue
-            assert (f * g).exact_divide(g) == f
+    def test_exact_divide(self, ring_xy, ring_p, rng):
+        for ring in (ring_xy, ring_p):
+            for _ in range(20):
+                f = random_polynomial(ring, 3, rng)
+                g = random_polynomial(ring, 3, rng)
+                if g.is_zero():
+                    continue
+                assert (f * g).exact_divide(g) == f
+        # The x^2*y^2 term of the product cancels after the first quotient
+        # term and reappears after the second.
+        f = ring_p.parse("x^2 + x*y - y^2 + z")
+        g = ring_p.parse("x^2 + x*y + y^2 + z")
+        assert (f * g).exact_divide(g) == f
+        assert (f * g).exact_divide(f) == g
 
     def test_inexact_divide_raises(self, ring_xy):
         with pytest.raises(PolyError):
