@@ -147,8 +147,8 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
     Returns _PAIR_LIMIT when `limit` pairs have been taken from the queue and
     live pairs remain (pairs the update drops are never taken),
     _CODIM_REACHED at the codimension stop, and _COMPLETE when the queue
-    emptied or a remainder was a nonzero constant (the unit ideal, whose
-    basis is complete).
+    emptied or an input or remainder was a nonzero constant (the unit ideal,
+    whose basis is complete).
     """
     num_vars = ring.num_vars
     sugar = [max(sum(m) for m, _ in entry[2]) for entry in basis]
@@ -201,6 +201,8 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
         supports = _head_supports([entry[0] for entry in basis], num_vars)
         if _supports_codim(supports, num_vars) >= codim_at_least:
             return _CODIM_REACHED
+    if any(not any(entry[0]) for entry in basis):
+        return _COMPLETE
     for h in range(start, len(basis)):
         join(h)
 

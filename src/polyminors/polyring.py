@@ -12,6 +12,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add, le, neg, sub
 from typing import Iterable
 
@@ -209,6 +210,17 @@ def monomial_mul(a: tuple, b: tuple) -> tuple:
     return out
 
 
+def _max_exponents(terms) -> list:
+    """Each variable's largest exponent over the monomials of a term dict."""
+    return [max(column) for column in zip(*terms)]
+
+
+def _over_common_denominator(terms):
+    """(d, [(monomial, integer numerator)]) with each coefficient = numerator / d."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+
+
 def monomial_divides(a: tuple, b: tuple) -> bool:
     """True if monomial a divides monomial b."""
     return all(map(le, a, b))
@@ -346,31 +358,37 @@ class Polynomial:
         if self.ring != other.ring:
             raise RingMismatchError("polynomials from different rings")
 
-    def __add__(self, other):
+    def _plus(self, other, op):
+        """self op other for op in (operator.add, operator.sub)."""
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check_ring(other)
-        field = self.ring.field
+        p = self.ring.field.characteristic
         out = dict(self.terms)
+        get = out.get
         for m, c in other.terms.items():
-            s = field.add(out.get(m, field.zero), c)
+            s = op(get(m, 0), c)
+            if p:
+                s %= p
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
+                # c is nonzero, so a zero sum means m was already a term.
+                del out[m]
         return Polynomial(self.ring, out)
 
+    def __add__(self, other):
+        return self._plus(other, add)
+
     def __radd__(self, other):
-        return self.__add__(other)
+        return self._plus(other, add)
 
     def __neg__(self):
         field = self.ring.field
         return Polynomial(self.ring, {m: field.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.constant(other)
-        return self + (-other)
+        return self._plus(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -379,17 +397,31 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scalar_mul(other)
         self._check_ring(other)
-        field = self.ring.field
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return self.ring.zero()
+        # A product's largest exponent in variable v is the sum of the
+        # operands' largest exponents in v, so one test covers every pair.
+        if max(map(add, _max_exponents(a), _max_exponents(b)), default=0) >= MAX_EXPONENT:
+            raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+        p = self.ring.field.characteristic
+        if p:
+            a_items, b_items = a.items(), list(b.items())
+        else:
+            # Over QQ, multiply integer numerators over each operand's common
+            # denominator and divide once per output term.
+            da, a_items = _over_common_denominator(a)
+            db, b_items = _over_common_denominator(b)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                s = field.add(out.get(m, field.zero), field.mul(c1, c2))
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial(self.ring, out)
+        get = out.get
+        for m1, c1 in a_items:
+            for m2, c2 in b_items:
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        if p:
+            return Polynomial(self.ring, {m: r for m, c in out.items() if (r := c % p)})
+        d = da * db
+        return Polynomial(self.ring, {m: Fraction(c, d) for m, c in out.items() if c})
 
     def __rmul__(self, other):
         return self.scalar_mul(other)
@@ -461,33 +493,39 @@ class Polynomial:
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         field = self.ring.field
+        p = field.characteristic
         order = self.ring.canonical_order
         dm, dc = divisor.lead_term(order)
         dc_inv = field.inv(dc)
         rem = dict(self.terms)
+        get = rem.get
         # Lazy deletion: a popped monomial no longer in rem was cancelled.
         heap = [(_heap_key(order, m), m) for m in rem]
         heapq.heapify(heap)
         quot = {}
         while heap:
             _, m = heapq.heappop(heap)
-            c = rem.get(m)
+            c = get(m)
             if not c:
                 continue
             if not monomial_divides(dm, m):
                 raise PolyError("inexact polynomial division")
             qm = monomial_div(m, dm)
-            qc = field.mul(c, dc_inv)
+            qc = c * dc_inv % p if p else c * dc_inv
             quot[qm] = qc
             for m2, c2 in divisor.terms.items():
                 t = monomial_mul(qm, m2)
-                s = field.sub(rem.get(t, field.zero), field.mul(qc, c2))
+                old = get(t)
+                s = (old or 0) - qc * c2
+                if p:
+                    s %= p
                 if s:
-                    if t not in rem:
+                    if old is None:
                         heapq.heappush(heap, (_heap_key(order, t), t))
                     rem[t] = s
                 else:
-                    rem.pop(t, None)
+                    # qc * c2 is nonzero, so a zero difference means t was a term.
+                    del rem[t]
         return Polynomial(self.ring, quot)
 
     def __eq__(self, other):

@@ -152,15 +152,15 @@ class TestCodimStop:
                     assert got == full
 
     def test_stop_answers_where_the_cap_raises(self):
-        # The constant head gives codim 3 before any pair is taken, while a
-        # pair with x^2 as lcm stays queued.
+        # The input heads x^2 and y^2 give codim 2 before any pair is taken,
+        # while pairs stay queued; the ideal is the unit ideal.
         R = PolyRing(GF(101), ["x", "y"])
         x, y = R.gens()
-        gens = [y - x * x, x, R.one()]
+        gens = [x * x - y, x * y - 1, y * y]
         with pytest.raises(BudgetExceededError):
             buchberger(gens, s_pair_cap=0)
-        got = buchberger(gens, s_pair_cap=0, codim_at_least=2)
-        assert R.one() in got
+        assert buchberger(gens, s_pair_cap=0, codim_at_least=2) == gens
+        assert buchberger(gens) == [R.one()]
 
 
 class TestNormalForm:
@@ -222,6 +222,12 @@ class TestUnitIdeal:
         x = R.gens()[0]
         assert is_unit_ideal(Ideal([x + 1, x], R), s_pair_cap=1)
         assert buchberger([x + 1, x], s_pair_cap=1) == [R.one()]
+
+    def test_constant_input_stops_the_pair_loop(self):
+        # No pair is taken: the input 1 already makes the basis complete.
+        R = PolyRing(GF(101), ["x", "y"])
+        x, y = R.gens()
+        assert buchberger([y - x * x, x, R.one()], s_pair_cap=0) == [R.one()]
 
 
 class TestVertexCoverAndDimension:

@@ -41,6 +41,33 @@ def ring_p():
     return PolyRing(GF(101), ["x", "y", "z"])
 
 
+def fractional_polynomial(ring, degree, rng):
+    """random_polynomial over QQ with non-integer Fraction coefficients."""
+    def coeff():
+        d = rng.choice((2, 3, 6, 35))
+        return Fraction(rng.choice((-1, 1)) * (rng.randint(0, 50) * d + rng.randint(1, d - 1)), d)
+    return ring.from_terms((coeff(), m) for m in random_polynomial(ring, degree, rng).terms)
+
+
+@pytest.fixture
+def operand_draws(ring_xy, rng):
+    """draw(degree) functions over QQ (integer, then non-integer coefficients)
+    and GF(2^31 - 1)."""
+    ring_big_p = PolyRing(GF(2**31 - 1), ["x", "y", "z"])
+    return [
+        lambda degree: random_polynomial(ring_xy, degree, rng),
+        lambda degree: fractional_polynomial(ring_xy, degree, rng),
+        lambda degree: random_polynomial(ring_big_p, degree, rng),
+    ]
+
+
+def assert_canonical(f):
+    p = f.ring.field.characteristic
+    for c in f.terms.values():
+        assert type(c) is (int if p else Fraction)
+        assert c and (not p or 0 < c < p)
+
+
 class TestCoefficientField:
     def test_rational_coercion(self):
         assert QQ.coerce(3) == Fraction(3)
@@ -134,19 +161,51 @@ class TestArithmetic:
         with pytest.raises(PolyError):
             PolyRing(QQ, ["x", "x"])
 
-    def test_add_sub_roundtrip(self, ring_xy, rng):
-        for _ in range(25):
-            f = random_polynomial(ring_xy, 4, rng)
-            g = random_polynomial(ring_xy, 4, rng)
-            assert (f + g) - g == f
-            assert f - f == ring_xy.zero()
+    def test_add_sub_roundtrip(self, operand_draws):
+        for draw in operand_draws:
+            for _ in range(25):
+                f = draw(4)
+                g = draw(4)
+                assert (f + g) - g == f
+                assert f - f == f.ring.zero()
+                assert_canonical(f + g)
+                assert_canonical(f - g)
 
-    def test_mul_distributes(self, ring_xy, rng):
-        for _ in range(25):
-            f = random_polynomial(ring_xy, 3, rng)
-            g = random_polynomial(ring_xy, 3, rng)
-            h = random_polynomial(ring_xy, 3, rng)
-            assert f * (g + h) == f * g + f * h
+    def test_mul_distributes(self, operand_draws):
+        for draw in operand_draws:
+            for _ in range(25):
+                f = draw(3)
+                g = draw(3)
+                h = draw(3)
+                assert f * (g + h) == f * g + f * h
+                assert_canonical(f * g)
+
+    def test_mul_matches_sum_over_term_pairs(self, ring_xy, operand_draws):
+        # from_terms accumulates through CoefficientField.add, a path
+        # independent of the product's own loop.
+        def reference(f, g):
+            return f.ring.from_terms(
+                (cf * cg, monomial_mul(mf, mg)) for mf, cf in f.terms.items() for mg, cg in g.terms.items()
+            )
+
+        cases = []
+        for draw in operand_draws:
+            cases += [(draw(3), draw(3)) for _ in range(20)]
+            f = draw(2)
+            cases += [(f, f.ring.zero()), (f.ring.zero(), f)]
+        # Products whose x*y terms cancel, over QQ and over GF(2).
+        ring_2 = PolyRing(GF(2), ["x", "y"])
+        cancelling = [
+            (ring_xy.parse("1/2*x + 1/3*y"), ring_xy.parse("1/2*x - 1/3*y")),
+            (ring_2.parse("x + y"), ring_2.parse("x + y")),
+        ]
+        for f, g in cases + cancelling:
+            assert (f * g).terms == reference(f, g).terms
+            assert_canonical(f * g)
+        assert [(f * g).terms for f, g in cancelling] == [
+            {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)},
+            {(2, 0): 1, (0, 2): 1},
+        ]
 
     def test_pow_matches_repeated_mul(self, ring_xy, rng):
         f = random_polynomial(ring_xy, 2, rng)
@@ -165,6 +224,19 @@ class TestArithmetic:
         with pytest.raises(ExponentOverflowError):
             big * x
 
+    def test_exponent_overflow_boundary(self, ring_p):
+        # One test per product, from each operand's largest exponent per
+        # variable: raised exactly when some pair of terms overflows.
+        x, y, z = ring_p.gens()
+        near = ring_p.from_terms([(1, (MAX_EXPONENT - 1, 0, 0)), (1, (0, 5, 0))])
+        with pytest.raises(ExponentOverflowError):
+            near * (x + 1)
+        top = ring_p.from_terms([(1, (MAX_EXPONENT - 1, 1, 0))])
+        assert near * (y + 1) == top + near + y**6
+        f = ring_p.from_terms([(3, (MAX_EXPONENT - 2, 0, 0)), (5, (0, 2, 1))])
+        g = x + y**4 + z
+        assert (f * g).exact_divide(g) == f
+
     def test_modular_coefficients_wrap(self, ring_p):
         f = ring_p.parse("100*x + 2*x")
         assert f == ring_p.parse("x")
@@ -175,14 +247,17 @@ class TestArithmetic:
         assert m.lead_term()[1] == 1
         assert m == ring_xy.parse("x^2 + 2*y")
 
-    def test_exact_divide(self, ring_xy, ring_p, rng):
-        for ring in (ring_xy, ring_p):
+    def test_exact_divide(self, ring_p, rng, operand_draws):
+        draws = operand_draws + [lambda degree: random_polynomial(ring_p, degree, rng)]
+        for draw in draws:
             for _ in range(20):
-                f = random_polynomial(ring, 3, rng)
-                g = random_polynomial(ring, 3, rng)
+                f = draw(3)
+                g = draw(3)
                 if g.is_zero():
                     continue
-                assert (f * g).exact_divide(g) == f
+                q = (f * g).exact_divide(g)
+                assert q == f
+                assert_canonical(q)
         # The x^2*y^2 term of the product cancels after the first quotient
         # term and reappears after the second.
         f = ring_p.parse("x^2 + x*y - y^2 + z")
