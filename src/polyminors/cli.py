@@ -20,14 +20,7 @@ from .fastcheck import (
     regular_in_codimension,
 )
 from .gbasis import RingPresentation, dim_quotient
-from .polylinalg import (
-    DET_BAREISS,
-    DET_COFACTOR,
-    DET_RECURSIVE,
-    det_bareiss,
-    det_cofactor,
-    recursive_minors,
-)
+from .polylinalg import DET_BAREISS, DET_COFACTOR, DET_RECURSIVE, determinant, recursive_minors
 from .polyring import PolyError
 from .problemfile import parse_problem_file
 from .selection import choose_good_minors, parse_strategy
@@ -162,11 +155,9 @@ def main(argv=None) -> int:
 
         if args.command == "minors":
             M = _need(problem, "matrix", "matrix")
-            minors = recursive_minors(args.size, M) \
-                if args.det == DET_RECURSIVE else [
-                    det_bareiss(M.submatrix(c)) if args.det == DET_BAREISS else det_cofactor(M.submatrix(c))
-                    for c in _all_choices(M, args.size)
-                ]
+            minors = recursive_minors(args.size, M) if args.det == DET_RECURSIVE else [
+                determinant(M.submatrix(c), args.det) for c in _all_choices(M, args.size)
+            ]
             gens = [str(m) for m in minors if not m.is_zero()]
             _emit(_report(args, seed, started, result=len(gens), generators=gens), args)
             return EXIT_TRUE

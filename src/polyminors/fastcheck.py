@@ -8,6 +8,7 @@ import random
 import sys
 from dataclasses import dataclass, field as dataclass_field
 
+# Every name that perfbench/tracer.py patches on this module must stay importable here.
 from .gbasis import (
     BudgetExceededError,
     DEFAULT_S_PAIR_CAP,
@@ -15,7 +16,7 @@ from .gbasis import (
     RingPresentation,
     buchberger,
     dim_quotient,
-    is_codim_at_least,  # unused here; the benchmark tracer patches this name
+    is_codim_at_least,
     is_unit_ideal,
     monomial_ideal_codim,
     normal_form,
@@ -76,21 +77,19 @@ def checkpoint_schedule(min_minors: int, base: float = CODIM_CHECK_BASE):
 
 @dataclass
 class MinorLoopConfig:
-    """Budgets, strategy, determinant engine and logging for the top loops."""
+    """Budgets, strategy, determinant engine and logging for the top loops.
+
+    Checkpoints fire on the CODIM_CHECK_BASE schedule, and a verbose run
+    logs to stderr.
+    """
 
     max_minors: object = None  # number, or callable (minors needed, possible) -> float
     min_minors_fn: object = default_min_minors
-    codim_check_base: float = CODIM_CHECK_BASE
     strategy: StrategyTable = None
     det_strategy: str = "bareiss"
     verbose: bool = False
     modulus: int = None
     s_pair_cap: int = DEFAULT_S_PAIR_CAP
-    log_stream: object = None
-
-    def __post_init__(self):
-        if self.codim_check_base <= 1:
-            raise PolyError("codim check base must exceed 1")
 
     def resolve_max_minors(self, minors_needed: int, possible: int, fallback=default_max_minors) -> float:
         if self.max_minors is None:
@@ -101,7 +100,7 @@ class MinorLoopConfig:
 
     def log(self, message: str):
         if self.verbose:
-            print(message, file=self.log_stream or sys.stderr)
+            print(message, file=sys.stderr)
 
 
 @dataclass
@@ -132,7 +131,7 @@ def _certify_rank(sub: PolyMatrix, r: int, rng) -> bool:
     field = sub.ring.field
     for _ in range(RANK_EVALUATION_TRIES):
         point = [field.random_element(rng) for _ in range(sub.ring.num_vars)]
-        rank, _, _ = numeric_rank((sub.evaluate(point), field))
+        rank, _, _ = numeric_rank(sub.evaluate(point), field)
         if rank == r:
             return True
     return not det_bareiss(sub).is_zero()
@@ -217,8 +216,6 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         # unit ideal and the singular locus is empty.
         accumulated = Ideal(defining.generators + [ring.one()], ring)
         return LoopReport(result=True, dimension=-1, accumulated=accumulated)
-    if not gens:
-        return LoopReport(result=None, dimension=d, accumulated=defining)
     jac = jacobian(gens)
     if minor_size > min(jac.nrows, jac.ncols):
         return LoopReport(result=None, dimension=d, accumulated=defining)
@@ -234,7 +231,7 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
 
     strategy = cfg.strategy or builtin_strategy("StrategyDefault")
     selector = MinorSelector(jac, strategy, rng, points_ideal=defining)
-    schedule = checkpoint_schedule(min_minors, cfg.codim_check_base)
+    schedule = checkpoint_schedule(min_minors)
     next_check = next(schedule)
 
     minors = []
@@ -296,8 +293,7 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
                 pending.append(det)
                 selector.points_ideal = selector.points_ideal + [det]
         if selector.considered >= next_check:
-            while next_check <= selector.considered:
-                next_check = next(schedule)
+            next_check = next(schedule)
             outcome = run_checkpoint()
             checked_at = selector.considered
             if outcome:

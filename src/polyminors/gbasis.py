@@ -198,7 +198,7 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
         useful.append(h)
 
     if codim_at_least is not None:
-        supports = _head_supports([entry[0] for entry in basis], num_vars)
+        supports = _head_supports(entry[1] for entry in basis)
         if _supports_codim(supports, num_vars) >= codim_at_least:
             return _CODIM_REACHED
     if any(not any(entry[0]) for entry in basis):
@@ -225,9 +225,9 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
         sugar.append(pair_sugar)
         h = len(basis) - 1
         if codim_at_least is not None:
-            support = _support(basis[h][0])
-            if not any(t <= support for t in supports):
-                supports = [t for t in supports if not support < t] + [support]
+            support = basis[h][1]
+            if not any(not t & ~support for t in supports):
+                supports = [t for t in supports if support & ~t] + [support]
                 if _supports_codim(supports, num_vars) >= codim_at_least:
                     return _CODIM_REACHED
         if rem.is_constant():
@@ -334,35 +334,29 @@ class Ideal:
 
 
 def is_unit_ideal(ideal: Ideal, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP) -> bool:
-    """True iff 1 belongs to the ideal."""
-    for g in ideal.generators:
-        if not g.is_zero() and g.is_constant():
-            return True
+    """True iff 1 belongs to the ideal; the pair loop stops at once on a constant input."""
     gb = ideal.groebner_basis(order, s_pair_cap)
     return any(g.is_constant() and not g.is_zero() for g in gb)
 
 
-def _support(mono: tuple) -> frozenset:
-    return frozenset(i for i, e in enumerate(mono) if e)
-
-
-def _head_supports(heads, num_vars):
-    """Minimal distinct variable supports of a set of head monomials."""
-    supports = {_support(m) for m in heads}
-    return [s for s in supports if not any(t < s for t in supports)]
+def _head_supports(masks):
+    """Minimal distinct support masks among the given ones."""
+    supports = set(masks)
+    return [s for s in supports if not any(t != s and not t & ~s for t in supports)]
 
 
 def _supports_codim(supports, num_vars: int) -> int:
-    """Codimension of a monomial ideal from its generators' minimal supports."""
-    if frozenset() in supports:
+    """Codimension of a monomial ideal from its generators' minimal support masks."""
+    if 0 in supports:
         return num_vars + 1
     return minimum_vertex_cover(supports)
 
 
 def minimum_vertex_cover(supports) -> int:
-    """Minimum number of variables meeting every support, by branch and bound."""
+    """Minimum number of variables meeting every support mask, by branch and bound."""
     supports = [s for s in supports if s]
-    best = [len({v for s in supports for v in s})]
+    # Every variable up to the highest one used is a cover.
+    best = [max(supports, default=0).bit_length()]
 
     def bound(remaining, used):
         if used >= best[0]:
@@ -370,9 +364,11 @@ def minimum_vertex_cover(supports) -> int:
         if not remaining:
             best[0] = used
             return
-        pivot = min(remaining, key=len)
-        for v in sorted(pivot):
-            rest = [s for s in remaining if v not in s]
+        pivot = min(remaining, key=int.bit_count)
+        while pivot:
+            v = pivot & -pivot
+            pivot ^= v
+            rest = [s for s in remaining if not s & v]
             bound(rest, used + 1)
 
     bound(supports, 0)
@@ -384,7 +380,7 @@ def monomial_ideal_codim(heads, num_vars: int) -> int:
 
     The zero ideal has codim 0; a unit monomial ideal has codim num_vars + 1.
     """
-    return _supports_codim(_head_supports(heads, num_vars), num_vars)
+    return _supports_codim(_head_supports(_support_mask(m) for m in heads), num_vars)
 
 
 def dim_quotient(ideal: Ideal, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP) -> int:

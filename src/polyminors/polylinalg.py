@@ -60,12 +60,6 @@ class PolyMatrix:
                 if not isinstance(e, Polynomial) or e.ring != ring:
                     raise MatrixShapeError("entry not a polynomial of the matrix ring")
 
-    @classmethod
-    def from_rows(cls, rows) -> "PolyMatrix":
-        if not rows or not rows[0]:
-            raise MatrixShapeError("empty matrix")
-        return cls(rows[0][0].ring, rows)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -261,22 +255,12 @@ def recursive_minors(k: int, M: PolyMatrix, table_cap: int = DEFAULT_TABLE_CAP):
     return [table[key] for key in sorted(targets)]
 
 
-def numeric_rank(M: PolyMatrix):
-    """Rank of a matrix of field constants, with pivot row/column index lists.
+def numeric_rank(grid, field):
+    """Rank of a grid of field elements, such as an evaluated PolyMatrix.
 
-    Accepts either a PolyMatrix of degree-0 entries or a plain grid of field
-    elements.  Returns (rank, pivot_rows, pivot_cols).
+    Returns (rank, pivot_rows, pivot_cols); the grid is left unchanged.
     """
-    if isinstance(M, PolyMatrix):
-        for row in M.entries:
-            for e in row:
-                if not e.is_constant():
-                    raise PolyError("numeric_rank requires constant entries")
-        field = M.ring.field
-        grid = [[e.constant_value() for e in row] for row in M.entries]
-    else:
-        grid, field = M
-        grid = [list(row) for row in grid]
+    grid = [list(row) for row in grid]
     nrows = len(grid)
     ncols = len(grid[0]) if grid else 0
     pivot_rows, pivot_cols = [], []

@@ -107,9 +107,6 @@ class CoefficientField:
         p = self.characteristic
         return 1 / a if p == 0 else pow(a, p - 2, p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     @property
     def zero(self):
         return Fraction(0) if self.characteristic == 0 else 0
@@ -441,9 +438,8 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k > 1
             k >>= 1
-            if base_needed and k:
+            if k:
                 base = base * base
         return result
 
@@ -529,11 +525,13 @@ class Polynomial:
         return Polynomial(self.ring, quot)
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            if other == 0:
-                return self.is_zero()
-            return self.is_constant() and self.constant_value() == self.ring.field.coerce(other)
-        return self.ring == other.ring and self.terms == other.terms
+        if isinstance(other, Polynomial):
+            return self.ring == other.ring and self.terms == other.terms
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 0:
+            return self.is_zero()
+        return self.is_constant() and self.constant_value() == self.ring.field.coerce(other)
 
     def __hash__(self):
         if self._hash is None:

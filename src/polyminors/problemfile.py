@@ -134,8 +134,9 @@ def parse_problem_text(text: str) -> ProblemFile:
     ring = _parse_ring(blocks[0][1], blocks[0][2])
     problem = ProblemFile(ring=ring)
     for key, body, lineno in blocks[1:]:
-        if key == "ring":
-            raise ProblemFileError("duplicate ring header", lineno)
+        if getattr(problem, key) is not None:
+            what = "ring header" if key == "ring" else f"{key} block"
+            raise ProblemFileError(f"duplicate {what}", lineno)
         if key == "ideal":
             gens = [
                 _parse_poly(g, ring, lineno)
@@ -144,8 +145,6 @@ def parse_problem_text(text: str) -> ProblemFile:
             ]
             problem.ideal = Ideal(gens, ring)
         elif key == "matrix":
-            if problem.matrix is not None:
-                raise ProblemFileError("duplicate matrix block", lineno)
             problem.matrix = _parse_matrix_literal(body, ring, lineno)
         elif key == "complex":
             maps = []

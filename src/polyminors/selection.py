@@ -181,9 +181,6 @@ class WorkingMatrix:
         self.mutated = [list(row) for row in original.entries]
         self.selections_since_reset = 0
 
-    def mutated_entry(self, i: int, j: int):
-        return self.mutated[i][j]
-
     def mutate(self, used: SubmatrixChoice, rng):
         """Degree-raise the just-used entries; reset periodically."""
         ring = self.original.ring
@@ -229,7 +226,7 @@ def choose_submatrix_greedy(method: SelectionMethod, size: int, working: Working
     use_mutated = method in _GREVLEX_METHODS
 
     def entry(i, j):
-        return working.mutated_entry(i, j) if use_mutated else M[i, j]
+        return working.mutated[i][j] if use_mutated else M[i, j]
 
     keys = {}
     for i in range(M.nrows):
@@ -345,21 +342,16 @@ def choose_submatrix_points(size: int, M: PolyMatrix, J: Ideal, rng, point=None)
         if point is None:
             raise SelectionFailedError("no rational point found")
     grid = M.evaluate(point)
-    rank, prows, pcols = numeric_rank((grid, field))
+    rank, prows, pcols = numeric_rank(grid, field)
     if rank < size:
         raise SelectionFailedError("evaluated matrix rank below requested size")
     choice = SubmatrixChoice(tuple(prows[:size]), tuple(pcols[:size]))
     # The pivot block is invertible at the witness point, so the polynomial
     # minor cannot be zero; verify the numeric determinant as a guard.
     block = [[grid[i][j] for j in choice.cols] for i in choice.rows]
-    if not _numeric_det_nonzero(block, field):
+    if numeric_rank(block, field)[0] != size:
         raise AssertionError("pivot block unexpectedly singular at witness point")
     return choice
-
-
-def _numeric_det_nonzero(block, field) -> bool:
-    rank, _, _ = numeric_rank((block, field))
-    return rank == len(block)
 
 
 class MinorSelector:

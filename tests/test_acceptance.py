@@ -102,7 +102,7 @@ def test_criterion_4_points_worked_example(capsys, points_example):
     M, _ = points_example
     point = (2, 0, 2)
     evaluated = M.evaluate(point)
-    rank, prows, pcols = numeric_rank((evaluated, M.ring.field))
+    rank, prows, pcols = numeric_rank(evaluated, M.ring.field)
     choice = choose_submatrix_points(2, M, None, random.Random(0), point=point)
     minor = det_bareiss(M.submatrix(choice))
     ok = (
@@ -239,7 +239,7 @@ def test_criterion_9_oracle_suites(capsys):
     for _ in range(500):
         M = random_matrix(ring3, rng.choice([2, 3]), rng.choice([2, 3]), 1, rng)
         pt = [rng.randrange(101) for _ in range(3)]
-        assert numeric_rank((M.evaluate(pt), ring3.field))[0] <= symbolic_rank(M)
+        assert numeric_rank(M.evaluate(pt), ring3.field)[0] <= symbolic_rank(M)
     # (d) is_codim_at_least soundness on the >= 50-ideal corpus.
     corpus = ideal_corpus()
     assert len(corpus) >= 50

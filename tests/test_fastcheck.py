@@ -1,6 +1,5 @@
 """Checkpoints, budgets, rank search, regular-in-codimension, projective dimension."""
 
-import io
 import itertools
 import math
 import random
@@ -82,10 +81,6 @@ class TestDefaults:
         assert cfg.resolve_max_minors(2, 10) == 20.0
         cfg = MinorLoopConfig()
         assert cfg.resolve_max_minors(2, 17325) == pytest.approx(317.599, abs=1e-3)
-
-    def test_bad_base_in_config(self):
-        with pytest.raises(PolyError):
-            MinorLoopConfig(codim_check_base=0.9)
 
 
 def small_matrix_corpus():
@@ -217,11 +212,10 @@ class TestRegularInCodimension:
         report = regular_in_codimension(1, RingPresentation(I), cfg, random.Random(0))
         assert report.result is True
 
-    def test_verbose_log_format(self, curve_ideal):
-        stream = io.StringIO()
-        cfg = MinorLoopConfig(verbose=True, log_stream=stream)
+    def test_verbose_log_format(self, curve_ideal, capsys):
+        cfg = MinorLoopConfig(verbose=True)
         regular_in_codimension(1, RingPresentation(curve_ideal), cfg, random.Random(0))
-        log = stream.getvalue()
+        log = capsys.readouterr().err
         assert re.search(
             r"regularInCodimension: ring dimension = 3, possible minors = 17325, "
             r"max minors = 317\.599", log)
@@ -232,19 +226,18 @@ class TestRegularInCodimension:
             r"full dimension = -?\d+", log)
         assert re.search(r"regularInCodimension: final dimension = -?\d+", log)
 
-    def test_budget_failure_is_inconclusive(self):
+    def test_budget_failure_is_inconclusive(self, capsys):
         # Every submatrix gets computed, but the one checkpoint cannot take
         # the pair its basis needs under a zero S-pair cap, so the bound is
         # never refuted.
         ring = PolyRing(GF(101), ["x", "y"])
         x, y = ring.gens()
         I = Ideal([x * y], ring)
-        stream = io.StringIO()
-        cfg = MinorLoopConfig(s_pair_cap=0, verbose=True, log_stream=stream)
+        cfg = MinorLoopConfig(s_pair_cap=0, verbose=True)
         report = regular_in_codimension(1, RingPresentation(I), cfg, random.Random(0))
         assert (report.considered, report.computed) == (3, 2)
         assert report.result is None
-        log = stream.getvalue()
+        log = capsys.readouterr().err
         assert "S-pair budget of 0 exceeded" in log
         assert "fast codim bound" not in log
         # The last in-loop checkpoint ran at the last draw; it is not repeated.
@@ -254,18 +247,17 @@ class TestRegularInCodimension:
             1, RingPresentation(I), MinorLoopConfig(), random.Random(0))
         assert report.result is False
 
-    def test_early_exit_answers_under_a_zero_cap(self):
+    def test_early_exit_answers_under_a_zero_cap(self, capsys):
         # The drawn minor 1 is a constant head: the bound holds before any
         # S-pair is taken, so the zero cap is never reached.
         ring = PolyRing(GF(101), ["x", "y"])
         x, y = ring.gens()
         I = Ideal([y - x * x], ring)
-        stream = io.StringIO()
-        cfg = MinorLoopConfig(s_pair_cap=0, verbose=True, log_stream=stream)
+        cfg = MinorLoopConfig(s_pair_cap=0, verbose=True)
         report = regular_in_codimension(0, RingPresentation(I), cfg, random.Random(0))
         assert (report.result, report.considered, report.computed) == (True, 5, 1)
         assert report.dimension == -1
-        log = stream.getvalue()
+        log = capsys.readouterr().err
         assert "fast codim bound succeeded" in log
         assert "S-pair budget" not in log
 

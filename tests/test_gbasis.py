@@ -209,6 +209,10 @@ class TestUnitIdeal:
     def test_constant_generator_shortcut(self):
         R = PolyRing(QQ, ["x"])
         assert is_unit_ideal(Ideal([R.constant(5)], R))
+        # The pair loop stops at the constant input before taking any pair.
+        S = PolyRing(QQ, ["x", "y"])
+        x, y = S.gens()
+        assert is_unit_ideal(Ideal([x * y - 1, x**2 + y, S.constant(5)], S), s_pair_cap=0)
 
     def test_hidden_unit(self):
         R = PolyRing(QQ, ["x", "y"])
@@ -248,7 +252,8 @@ class TestVertexCoverAndDimension:
                 frozenset(rng.sample(range(n), rng.randint(1, n)))
                 for _ in range(rng.randint(1, 6))
             ]
-            assert minimum_vertex_cover(supports) == self.exhaustive_cover(supports, n)
+            masks = [sum(1 << v for v in s) for s in supports]
+            assert minimum_vertex_cover(masks) == self.exhaustive_cover(supports, n)
 
     def test_monomial_codim_conventions(self):
         assert monomial_ideal_codim([], 3) == 0

@@ -214,6 +214,15 @@ class TestArithmetic:
             assert f**k == acc
             acc = acc * f
 
+    def test_equality_with_other_types(self, ring_xy, ring_p):
+        for ring in (ring_xy, ring_p):
+            one = ring.one()
+            assert one == 1 and one == Fraction(1) and ring.zero() == 0
+            assert not one == None  # noqa: E711
+            assert one != "x"
+            assert [None, "x", one].index(one) == 2
+            assert one not in [None, "x"]
+
     def test_ring_mismatch(self, ring_xy, ring_p):
         with pytest.raises(RingMismatchError):
             ring_xy.parse("x") + ring_p.parse("x")

@@ -64,9 +64,20 @@ def test_bad_characteristic():
         parse_problem_text("ring: 6; x\n")
 
 
-def test_duplicate_ring_rejected():
-    with pytest.raises(ProblemFileError):
-        parse_problem_text("ring: 0; x\nring: 0; y\n")
+DUPLICATE_BLOCKS = {
+    "ring": "ring: 0; x",
+    "ideal": "ideal: x",
+    "matrix": "matrix: [[x]]",
+    "complex": "complex: d1=[[x]]",
+}
+
+
+@pytest.mark.parametrize("key", DUPLICATE_BLOCKS)
+def test_duplicate_ring_rejected(key):
+    block = DUPLICATE_BLOCKS[key]
+    what = "ring header" if key == "ring" else f"{key} block"
+    with pytest.raises(ProblemFileError, match=f"duplicate {what}"):
+        parse_problem_text(f"ring: 0; x\n{block}\n{block}\n")
 
 
 def test_broken_complex_rejected():

@@ -157,7 +157,7 @@ class TestMutation:
         choice = choose_submatrix_greedy(
             SelectionMethod.GREVLEX_SMALLEST, 2, working, rng)
         i, j = choice.rows[0], choice.cols[0]
-        assert working.mutated_entry(i, j).total_degree() == \
+        assert working.mutated[i][j].total_degree() == \
             monomial_matrix[i, j].total_degree() + 1
 
     def test_lex_does_not_mutate(self, monomial_matrix):
