@@ -1,19 +1,24 @@
-"""Groebner machinery: Buchberger, membership, Krull dimension, codim bounds."""
+"""Groebner machinery: Buchberger, membership, Krull dimension, codim bounds.
+
+Inside the division and S-pair loops every monomial is one int from the
+order's ExponentPacking (see `polyring`): comparing ints compares monomials, a
+product is an add, and divisibility and exponent overflow are one guard-bit
+test each.  Polynomials enter and leave with exponent tuples.
+"""
 
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 
 from .polyring import (
+    MAX_EXPONENT,
+    ExponentOverflowError,
     MonomialOrder,
     PolyError,
     Polynomial,
     PolyRing,
-    _heap_key,
-    monomial_div,
-    monomial_divides,
     monomial_lcm,
-    monomial_mul,
 )
 
 DEFAULT_S_PAIR_CAP = 200_000
@@ -32,56 +37,112 @@ def _support_mask(mono: tuple) -> int:
     return mask
 
 
+def _overflow():
+    return ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+
+
+class _Entry:
+    """A nonzero basis element made monic and packed for the loops.
+
+    `lm` is the packed lead monomial, whose coefficient is 1, and `tail_m`
+    and `tail_c` hold the packed monomials below it and their coefficients.
+    A packed m is divisible by the lead exactly when not (m - div) & guard,
+    and a packed shift s times every term stays below MAX_EXPONENT exactly
+    when not (room - s) & guard.  `lead` and `mask` are the lead's exponent
+    tuple and support mask; `sugar` is the S-pair loop's degree bound.
+    """
+
+    __slots__ = ("div", "lm", "tail_m", "tail_c", "room", "lead", "mask", "sugar")
+
+    def __init__(self, terms: dict, monos, field, packing, sugar=None):
+        """From nonzero {packed monomial: coefficient} terms and their exponent tuples."""
+        monos = list(monos)
+        lm = max(terms)
+        inv = field.inv(terms[lm])
+        p = field.characteristic
+        self.lm = lm
+        self.div = lm - packing.offset
+        tail = [m for m in terms if m != lm]
+        self.tail_m = tuple(tail)
+        self.tail_c = tuple([terms[m] * inv % p for m in tail] if p else [terms[m] * inv for m in tail])
+        self.room = packing.room(monos)
+        self.lead = packing.unpack(lm)
+        self.mask = _support_mask(self.lead)
+        self.sugar = max(map(sum, monos)) if sugar is None else sugar
+
+    def terms(self, one) -> dict:
+        """{packed monomial: coefficient}, with `one` as the lead coefficient."""
+        terms = {self.lm: one}
+        terms.update(zip(self.tail_m, self.tail_c))
+        return terms
+
+
 def _prepared(basis, order):
-    """[(lead monomial, support mask, terms items)] for nonzero monic reducers."""
-    prep = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        g = g.monic(order)
-        lm, _ = g.lead_term(order)
-        prep.append((lm, _support_mask(lm), tuple(g.terms.items())))
-    return prep
+    """An _Entry for each nonzero polynomial of the basis."""
+    packing = order.packing
+    pack = packing.pack
+    return [_Entry({pack(m): c for m, c in g.terms.items()}, g.terms, g.ring.field, packing)
+            for g in basis if g.terms]
 
 
-def _reduce_prepared(terms: dict, prep, order, ring) -> Polynomial:
-    field = ring.field
+def _unpacked(terms: dict, packing, ring) -> Polynomial:
+    unpack = packing.unpack
+    return Polynomial(ring, {unpack(m): c for m, c in terms.items()})
+
+
+def _reduce_prepared(terms: dict, prep, guard: int, p: int, divisors: dict) -> dict:
+    """Remainder of packed terms divided by the entries, by the first divisor.
+
+    Terms and the result map packed monomials to coefficients; the result
+    lists them from the largest down.  `divisors` remembers, for each packed
+    monomial met, its first dividing entry, or the int k when none of the
+    first k entries divides it.  A caller may share it between reductions
+    while `prep` only grows at its end, as the S-pair loop's basis does.
+    """
     rem = dict(terms)
-    out = {}
-    heap = [(_heap_key(order, m), m) for m in rem]
+    get = rem.get
+    heappush, heappop = heapq.heappush, heapq.heappop
+    # Negated so heapq pops the largest first.  Lazy deletion: a popped
+    # monomial no longer in rem was cancelled.
+    heap = [-m for m in rem]
     heapq.heapify(heap)
+    out = {}
     while heap:
-        _, m = heapq.heappop(heap)
-        c = rem.get(m)
-        if not c:
+        m = -heappop(heap)
+        c = get(m)
+        if c is None:
             continue
-        # The mask test cheaply rejects reducers whose lead uses a variable
-        # absent from m; only survivors pay for the exponent comparison.
-        not_m = ~_support_mask(m)
-        reducer = None
-        for p in prep:
-            if p[1] & not_m:
+        del rem[m]
+        g = divisors.get(m, 0)
+        if g.__class__ is int:
+            scanned = g
+            for g in prep[scanned:] if scanned else prep:
+                if not (m - g.div) & guard:
+                    break
+            else:
+                divisors[m] = len(prep)
+                out[m] = c
                 continue
-            if monomial_divides(p[0], m):
-                reducer = p
-                break
-        if reducer is None:
-            del rem[m]
-            out[m] = c
-            continue
-        lm, _, gterms = reducer
-        shift = monomial_div(m, lm)
-        for gm, gc in gterms:
-            t = monomial_mul(shift, gm)
-            old = rem.get(t, field.zero)
-            s = field.sub(old, field.mul(c, gc))
+            divisors[m] = g
+        # The lead of g times shift cancels m; subtract c * shift * tail.
+        shift = m - g.lm
+        if (g.room - shift) & guard:
+            raise _overflow()
+        for gm, gc in zip(g.tail_m, g.tail_c):
+            t = shift + gm
+            old = get(t)
+            if old is None:
+                heappush(heap, -t)
+                rem[t] = -c * gc % p if p else -c * gc
+                continue
+            s = old - c * gc
+            if p:
+                s %= p
             if s:
-                if t not in rem:
-                    heapq.heappush(heap, (_heap_key(order, t), t))
                 rem[t] = s
             else:
-                rem.pop(t, None)
-    return Polynomial(ring, out)
+                del rem[t]
+    return out
 
 
 def normal_form(p: Polynomial, basis, order: MonomialOrder = None) -> Polynomial:
@@ -93,28 +154,30 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = None) -> Polynomial
     prep = _prepared(basis, order)
     if not prep or p.is_zero():
         return p
-    return _reduce_prepared(p.terms, prep, order, p.ring)
+    packing = order.packing
+    pack = packing.pack
+    terms = {pack(m): c for m, c in p.terms.items()}
+    rem = _reduce_prepared(terms, prep, packing.guard, p.ring.field.characteristic, {})
+    return _unpacked(rem, packing, p.ring)
 
 
-def _spoly_terms(f_lm, f_terms, g_lm, g_terms, order, ring):
-    field = ring.field
-    l = monomial_lcm(f_lm, g_lm)
-    sf, sg = monomial_div(l, f_lm), monomial_div(l, g_lm)
-    acc = {}
-    for m, c in f_terms:
-        t = monomial_mul(sf, m)
-        s = field.add(acc.get(t, field.zero), c)
+def _spoly_terms(f, g, lcm: int, guard: int, p: int) -> dict:
+    """Packed terms of the S-polynomial of entries f and g, whose leads have
+    the packed lcm `lcm`.  The leads cancel, so only the tails are shifted."""
+    sf, sg = lcm - f.lm, lcm - g.lm
+    if (f.room - sf) & guard or (g.room - sg) & guard:
+        raise _overflow()
+    acc = {sf + m: c for m, c in zip(f.tail_m, f.tail_c)}
+    get = acc.get
+    for m, c in zip(g.tail_m, g.tail_c):
+        t = sg + m
+        s = get(t, 0) - c
+        if p:
+            s %= p
         if s:
             acc[t] = s
         else:
-            acc.pop(t, None)
-    for m, c in g_terms:
-        t = monomial_mul(sg, m)
-        s = field.sub(acc.get(t, field.zero), c)
-        if s:
-            acc[t] = s
-        else:
-            acc.pop(t, None)
+            del acc[t]
     return acc
 
 
@@ -125,7 +188,7 @@ _CODIM_REACHED = "codim reached"  # the heads reached the requested codimension
 
 
 def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: int = None) -> str:
-    """Extend a list of prepared entries in place with S-pair remainders.
+    """Extend a list of entries in place with S-pair remainders.
 
     Entries join one at a time through the Gebauer-Moeller update.  A joining
     entry h is paired with every useful entry (one whose lead no later lead
@@ -151,57 +214,66 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
     whose basis is complete).
     """
     num_vars = ring.num_vars
-    sugar = [max(sum(m) for m, _ in entry[2]) for entry in basis]
+    field = ring.field
+    p = field.characteristic
+    packing = order.packing
+    pack, unpack, guard, offset = packing.pack, packing.unpack, packing.guard, packing.offset
     useful = list(range(start))
-    live = {}  # (i, j) -> (lcm, its support mask) for pairs still queued
-    queue = []  # (sugar, order key of lcm, i, j); dropped pairs are skipped lazily
+    live = {}  # (i, j) -> packed lcm, for pairs still queued
+    queue = []  # (sugar, packed lcm, i, j); dropped pairs are skipped lazily
+    divisors = {}  # shared by the reductions; the basis only grows at its end
 
     def join(h):
         nonlocal useful
-        lm_h, mask_h = basis[h][0], basis[h][1]
-        deg_h = sum(lm_h)
-        # lcm -> [sugar, i, support mask, some pair with it is coprime]
+        entry_h = basis[h]
+        lead_h, mask_h, div_h = entry_h.lead, entry_h.mask, entry_h.div
+        deg_h = sum(lead_h)
+        # packed lcm -> [sugar, i, some pair with it is coprime]
         by_lcm = {}
         for g in useful:
-            lm_g, mask_g = basis[g][0], basis[g][1]
-            l = monomial_lcm(lm_g, lm_h)
+            entry_g = basis[g]
+            lead_g = entry_g.lead
+            l = monomial_lcm(lead_g, lead_h)
             deg_l = sum(l)
-            pair_sugar = max(sugar[g] + deg_l - sum(lm_g), sugar[h] + deg_l - deg_h)
-            coprime = not mask_g & mask_h
-            seen = by_lcm.get(l)
+            pair_sugar = max(entry_g.sugar + deg_l - sum(lead_g), entry_h.sugar + deg_l - deg_h)
+            coprime = not entry_g.mask & mask_h
+            key = pack(l)
+            seen = by_lcm.get(key)
             if seen is None:
-                by_lcm[l] = [pair_sugar, g, mask_g | mask_h, coprime]
+                by_lcm[key] = [pair_sugar, g, coprime]
             else:
                 if pair_sugar < seen[0]:
                     seen[0], seen[1] = pair_sugar, g
-                seen[3] = seen[3] or coprime
+                seen[2] = seen[2] or coprime
         # Criterion B_k on the queued pairs.
-        for key, (l, l_mask) in list(live.items()):
-            if mask_h & ~l_mask or not monomial_divides(lm_h, l):
+        for key, l in list(live.items()):
+            if (l - div_h) & guard:
                 continue
             i, j = key
-            if monomial_lcm(basis[i][0], lm_h) != l and monomial_lcm(basis[j][0], lm_h) != l:
+            if (pack(monomial_lcm(basis[i].lead, lead_h)) != l
+                    and pack(monomial_lcm(basis[j].lead, lead_h)) != l):
                 del live[key]
-        # Criteria M and F: a strict divisor of a lcm has a smaller degree.
-        minimal = []
-        for l in sorted(by_lcm, key=sum):
-            pair_sugar, g, l_mask, coprime = by_lcm[l]
-            not_l = ~l_mask
-            if any(not m_mask & not_l and monomial_divides(m, l) for m, m_mask in minimal):
-                continue
-            minimal.append((l, l_mask))
-            if not coprime:
-                live[(g, h)] = (l, l_mask)
-                heapq.heappush(queue, (pair_sugar, order.key(l), g, h))
-        useful = [g for g in useful
-                  if mask_h & ~basis[g][1] or not monomial_divides(lm_h, basis[g][0])]
+        # Criteria M and F.  The order extends divisibility, so ascending
+        # lcms meet every divisor of an lcm before the lcm itself.
+        minimal = []  # l - offset for each minimal lcm l
+        for l in sorted(by_lcm):
+            for d in minimal:
+                if not (l - d) & guard:
+                    break
+            else:
+                minimal.append(l - offset)
+                pair_sugar, g, coprime = by_lcm[l]
+                if not coprime:
+                    live[(g, h)] = l
+                    heapq.heappush(queue, (pair_sugar, l, g, h))
+        useful = [g for g in useful if (basis[g].lm - div_h) & guard]
         useful.append(h)
 
     if codim_at_least is not None:
-        supports = _head_supports(entry[1] for entry in basis)
+        supports = _head_supports(entry.mask for entry in basis)
         if _supports_codim(supports, num_vars) >= codim_at_least:
             return _CODIM_REACHED
-    if any(not any(entry[0]) for entry in basis):
+    if any(not entry.lm for entry in basis):
         return _COMPLETE
     for h in range(start, len(basis)):
         join(h)
@@ -214,23 +286,23 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
             return _COMPLETE
         if taken >= limit:
             return _PAIR_LIMIT
-        pair_sugar, _, i, j = heapq.heappop(queue)
+        pair_sugar, l, i, j = heapq.heappop(queue)
         del live[(i, j)]
         taken += 1
-        s_terms = _spoly_terms(basis[i][0], basis[i][2], basis[j][0], basis[j][2], order, ring)
-        rem = _reduce_prepared(s_terms, basis, order, ring)
-        if rem.is_zero():
+        s_terms = _spoly_terms(basis[i], basis[j], l, guard, p)
+        rem = _reduce_prepared(s_terms, basis, guard, p, divisors)
+        if not rem:
             continue
-        basis.extend(_prepared([rem], order))
-        sugar.append(pair_sugar)
+        basis.append(_Entry(rem, map(unpack, rem), field, packing, pair_sugar))
         h = len(basis) - 1
         if codim_at_least is not None:
-            support = basis[h][1]
+            support = basis[h].mask
             if not any(not t & ~support for t in supports):
                 supports = [t for t in supports if support & ~t] + [support]
                 if _supports_codim(supports, num_vars) >= codim_at_least:
                     return _CODIM_REACHED
-        if rem.is_constant():
+        if not basis[h].lm:
+            # A nonzero constant: the unit ideal.
             return _COMPLETE
         join(h)
 
@@ -266,29 +338,29 @@ def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAUL
     if outcome is _PAIR_LIMIT:
         raise BudgetExceededError(f"S-pair budget of {s_pair_cap} exceeded")
     if outcome is _CODIM_REACHED:
-        return [Polynomial(ring, dict(terms)) for _, _, terms in basis]
+        one = ring.field.one
+        return [_unpacked(entry.terms(one), order.packing, ring) for entry in basis]
     return _auto_reduce(basis, order, ring)
 
 
 def _auto_reduce(basis, order, ring):
+    packing = order.packing
     # Minimalize: drop elements whose lead is divisible by another survivor's.
     keep = []
-    indices = sorted(range(len(basis)), key=lambda i: order.key(basis[i][0]))
-    lead_list = []
-    for i in indices:
-        lm = basis[i][0]
-        if any(monomial_divides(l, lm) for l in lead_list):
+    for entry in sorted(basis, key=attrgetter("lm")):
+        if any(packing.divides(k.lm, entry.lm) for k in keep):
             continue
-        lead_list.append(lm)
-        keep.append(basis[i])
-    # Tail-reduce each against the others.
+        keep.append(entry)
+    # Tail-reduce each against the others.  Its lead stays, divisible by no
+    # other lead, so the results are monic and sorted like `keep`.
+    one, p = ring.field.one, ring.field.characteristic
     reduced = []
-    for idx, (lm, _, terms) in enumerate(keep):
+    for idx, entry in enumerate(keep):
         others = keep[:idx] + keep[idx + 1 :]
-        p = _reduce_prepared(dict(terms), others, order, ring) if others else Polynomial(ring, dict(terms))
-        if not p.is_zero():
-            reduced.append(p.monic(order))
-    reduced.sort(key=lambda g: order.key(g.lead_term(order)[0]))
+        terms = entry.terms(one)
+        if others:
+            terms = _reduce_prepared(terms, others, packing.guard, p, {})
+        reduced.append(_unpacked(terms, packing, ring))
     return reduced
 
 

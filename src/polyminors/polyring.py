@@ -1,9 +1,13 @@
 """Exact coefficient fields, monomial orders, and sparse multivariate polynomials.
 
 Coefficients are either arbitrary-precision rationals (fractions.Fraction) or
-elements of a prime field F_p stored as machine ints in [0, p).  Monomials are
-plain tuples of nonnegative exponents.  Polynomials are immutable dicts mapping
-exponent tuples to nonzero coefficients.
+elements of a prime field F_p stored as machine ints in [0, p).  Polynomials
+are immutable dicts mapping exponent tuples (nonnegative, below MAX_EXPONENT)
+to nonzero coefficients; tuples are what every public function takes and
+returns.  The division loops (`Polynomial.exact_divide` and the Groebner core
+in `gbasis`) instead hold each monomial as one int from the order's
+ExponentPacking, where comparison is the order, multiplication an add and
+divisibility one mask test.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from operator import add, le, neg, sub
+from operator import add, mul, sub
 from typing import Iterable
 
 MAX_EXPONENT = 1 << 16
@@ -175,6 +180,78 @@ class MonomialOrder:
         # meaning smaller monomial.
         return (sum(exponents), *[-exponents[i] for i in reversed(self.permutation)])
 
+    @cached_property
+    def packing(self) -> "ExponentPacking":
+        """This order's ExponentPacking, built on first use and kept with the order."""
+        return ExponentPacking(self)
+
+
+# Each variable gets a field of 16 exponent bits plus the guard bit above them.
+_FIELD_BITS = MAX_EXPONENT.bit_length()
+_LOW_BITS = MAX_EXPONENT - 1
+
+
+class ExponentPacking:
+    """Exponent vectors of one order packed into single ints.
+
+    After Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
+    and packed exponent vectors" (CASC 2007).  pack(e) is the sum of
+    e[v] * weights[v], so it is linear: the packing of a product is the sum of
+    the packings and that of a quotient their difference.  Each variable owns
+    one 17-bit field, and comparing packed ints compares monomials:
+
+    - Lex: permutation[0] owns the top field, permutation[-1] the bottom one.
+    - GRevLex: the total degree sits above every field, and permutation[k]'s
+      exponent is subtracted in field k, so on equal degrees the larger
+      exponent in the least significant variable gives the smaller int.
+
+    For exponents below MAX_EXPONENT, `b - a + offset` has its guard bit set
+    in exactly the fields where b - a is negative, which gives `divides`.  A
+    packed product of two such monomials has an exponent of MAX_EXPONENT or
+    more exactly when it does not divide (MAX_EXPONENT - 1, ...), which gives
+    `room`.  The division loops inline both tests.
+    """
+
+    __slots__ = ("weights", "offset", "guard", "_top", "_shifts", "_flip")
+
+    def __init__(self, order: MonomialOrder):
+        n = order.num_vars
+        ones = sum(1 << (_FIELD_BITS * k) for k in range(n))
+        shifts = [0] * n
+        for k, v in enumerate(order.permutation):
+            shifts[v] = _FIELD_BITS * (n - 1 - k if order.kind == LEX else k)
+        if order.kind == LEX:
+            self.weights = [1 << s for s in shifts]
+            self.offset = self._flip = 0
+        else:
+            self.weights = [(1 << (_FIELD_BITS * n)) - (1 << s) for s in shifts]
+            # With the offset added, field k holds MAX_EXPONENT - 1 minus the exponent.
+            self.offset = _LOW_BITS * ones
+            self._flip = _LOW_BITS
+        self._shifts = shifts
+        self.guard = MAX_EXPONENT * ones
+        self._top = self.pack((_LOW_BITS,) * n) + self.offset
+
+    def pack(self, mono: tuple) -> int:
+        return sum(map(mul, mono, self.weights))
+
+    def unpack(self, packed: int) -> tuple:
+        x = packed + self.offset
+        flip = self._flip
+        return tuple([((x >> s) & _LOW_BITS) ^ flip for s in self._shifts])
+
+    def divides(self, a: int, b: int) -> bool:
+        """True if packed monomial a divides packed monomial b."""
+        return not (b - a + self.offset) & self.guard
+
+    def room(self, monos) -> int:
+        """Packed headroom of a polynomial with these exponent tuples.
+
+        A packed monomial s times every one of them stays below MAX_EXPONENT
+        exactly when not (room - s) & guard.
+        """
+        return self._top - self.pack(_max_exponents(monos))
+
 
 def identity_order(kind: str, num_vars: int) -> MonomialOrder:
     return MonomialOrder(kind, tuple(range(num_vars)))
@@ -195,11 +272,6 @@ def compare_monomials(a: tuple, b: tuple, order: MonomialOrder) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def _heap_key(order: MonomialOrder, mono: tuple):
-    # Negate the ascending order key so heapq pops the largest monomial first.
-    return tuple(map(neg, order.key(mono)))
-
-
 def monomial_mul(a: tuple, b: tuple) -> tuple:
     out = tuple(map(add, a, b))
     if out and max(out) >= MAX_EXPONENT:
@@ -218,18 +290,13 @@ def _over_common_denominator(terms):
     return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
 
 
-def monomial_divides(a: tuple, b: tuple) -> bool:
-    """True if monomial a divides monomial b."""
-    return all(map(le, a, b))
-
-
 def monomial_div(a: tuple, b: tuple) -> tuple:
     """Quotient a / b, assuming b divides a."""
     return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 class PolyRing:
@@ -278,6 +345,11 @@ class PolyRing:
             mono = tuple(mono)
             if len(mono) != self.num_vars:
                 raise PolyError("exponent tuple has wrong length")
+            for e in mono:
+                if not isinstance(e, int) or e < 0:
+                    raise PolyError(f"exponent {e!r} is not a nonnegative integer")
+                if e >= MAX_EXPONENT:
+                    raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
             c = self.field.add(acc.get(mono, self.field.zero), coeff)
             if c:
                 acc[mono] = c
@@ -490,39 +562,49 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         field = self.ring.field
         p = field.characteristic
-        order = self.ring.canonical_order
-        dm, dc = divisor.lead_term(order)
-        dc_inv = field.inv(dc)
-        rem = dict(self.terms)
+        packing = self.ring.canonical_order.packing
+        pack, guard, offset = packing.pack, packing.guard, packing.offset
+        d_terms = {pack(m): c for m, c in divisor.terms.items()}
+        dm = max(d_terms)
+        dc_inv = field.inv(d_terms.pop(dm))
+        room = packing.room(divisor.terms)
+        rem = {pack(m): c for m, c in self.terms.items()}
         get = rem.get
-        # Lazy deletion: a popped monomial no longer in rem was cancelled.
-        heap = [(_heap_key(order, m), m) for m in rem]
+        # Packed monomials, negated so heapq pops the largest first.  Lazy
+        # deletion: a popped monomial no longer in rem was cancelled.
+        heap = [-m for m in rem]
         heapq.heapify(heap)
         quot = {}
         while heap:
-            _, m = heapq.heappop(heap)
+            m = -heapq.heappop(heap)
             c = get(m)
-            if not c:
+            if c is None:
                 continue
-            if not monomial_divides(dm, m):
+            if (m - dm + offset) & guard:  # packing.divides(dm, m), inlined
                 raise PolyError("inexact polynomial division")
-            qm = monomial_div(m, dm)
+            qm = m - dm
+            if (room - qm) & guard:
+                raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
             qc = c * dc_inv % p if p else c * dc_inv
             quot[qm] = qc
-            for m2, c2 in divisor.terms.items():
-                t = monomial_mul(qm, m2)
+            # The divisor's lead term cancels m.
+            del rem[m]
+            for m2, c2 in d_terms.items():
+                t = qm + m2
                 old = get(t)
-                s = (old or 0) - qc * c2
+                if old is None:
+                    heapq.heappush(heap, -t)
+                    rem[t] = -qc * c2 % p if p else -qc * c2
+                    continue
+                s = old - qc * c2
                 if p:
                     s %= p
                 if s:
-                    if old is None:
-                        heapq.heappush(heap, (_heap_key(order, t), t))
                     rem[t] = s
                 else:
-                    # qc * c2 is nonzero, so a zero difference means t was a term.
                     del rem[t]
-        return Polynomial(self.ring, quot)
+        unpack = packing.unpack
+        return Polynomial(self.ring, {unpack(m): c for m, c in quot.items()})
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):

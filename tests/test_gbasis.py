@@ -22,7 +22,13 @@ from polyminors import (
     normal_form,
 )
 from polyminors.gbasis import minimum_vertex_cover, monomial_ideal_codim
-from polyminors.polyring import identity_order, monomial_div, monomial_lcm, monomial_mul, random_polynomial
+from polyminors.polyring import (
+    ExponentOverflowError,
+    identity_order,
+    monomial_div,
+    monomial_lcm,
+    random_polynomial,
+)
 
 
 def spoly(f, g, order):
@@ -125,6 +131,21 @@ class TestBuchberger:
             extra = random_ideal(ideal.ring, rng, count=2).generators
             fresh = buchberger(ideal.generators + extra, order)
             assert buchberger(gb + extra, order, gb_prefix=len(gb)) == fresh
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
+    def test_exponent_overflow_raises(self, field):
+        # The S-pair of the two leads (x*y^65535 and x*y) shifts y^2 to y^65536.
+        R = PolyRing(field, ["x", "y"])
+        gens = [R.parse("x*y^65535 + 1"), R.parse("x*y + y^2")]
+        with pytest.raises(ExponentOverflowError):
+            buchberger(gens)
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
+    def test_exponent_overflow_in_a_reduction_raises(self, field):
+        # x^65535*y^60000 reduces by its lead y^60000 to x^65536.
+        R = PolyRing(field, ["x", "y"])
+        with pytest.raises(ExponentOverflowError):
+            normal_form(R.parse("x^65535*y^60000"), [R.parse("x - y^60000")])
 
     def test_budget_error(self):
         R = PolyRing(QQ, ["x", "y", "z"])

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from polyminors.polyring import (
     MAX_EXPONENT,
     ExponentOverflowError,
     RingMismatchError,
+    monomial_div,
     monomial_mul,
     random_polynomial,
 )
@@ -156,6 +158,63 @@ class TestMonomialOrders:
         assert len(seen) == 6
 
 
+def packing_cases(count):
+    """(order, monomial, ...) with `count` monomials of one length, exponents
+    small (to force ties and divisibility) or anywhere below MAX_EXPONENT."""
+    def for_length(n):
+        mono = st.one_of(monomials(n, max_exp=2), monomials(n, max_exp=MAX_EXPONENT - 1))
+        return st.tuples(orders(n), *[mono] * count)
+    return st.integers(1, 7).flatmap(for_length)
+
+
+def overflowing(a, b):
+    return any(x + y >= MAX_EXPONENT for x, y in zip(a, b))
+
+
+class TestExponentPacking:
+    @given(packing_cases(2))
+    def test_int_comparison_is_the_order(self, case):
+        order, a, b = case
+        pa, pb = order.packing.pack(a), order.packing.pack(b)
+        assert (pa > pb) - (pa < pb) == compare_monomials(a, b, order)
+
+    @given(packing_cases(1))
+    def test_unpack_inverts_pack(self, case):
+        order, a = case
+        assert order.packing.unpack(order.packing.pack(a)) == a
+
+    @given(packing_cases(2))
+    def test_product_is_a_sum_and_overflow_is_flagged(self, case):
+        order, a, b = case
+        packing = order.packing
+        product = packing.pack(a) + packing.pack(b)
+        flagged = (packing.room([b]) - packing.pack(a)) & packing.guard
+        assert bool(flagged) == overflowing(a, b)
+        if overflowing(a, b):
+            with pytest.raises(ExponentOverflowError):
+                monomial_mul(a, b)
+        else:
+            assert product == packing.pack(monomial_mul(a, b))
+            assert packing.unpack(product) == monomial_mul(a, b)
+
+    @given(packing_cases(2))
+    def test_divides_is_componentwise(self, case):
+        order, a, b = case
+        packing = order.packing
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.divides(pa, pb) == all(map(le, a, b))
+        gcd = tuple(map(min, a, b))
+        assert packing.divides(packing.pack(gcd), pa)
+        assert pa - packing.pack(gcd) == packing.pack(monomial_div(a, gcd))
+
+    @given(packing_cases(3))
+    def test_room_bounds_every_shifted_term(self, case):
+        order, shift, a, b = case
+        packing = order.packing
+        fits = not (packing.room([a, b]) - packing.pack(shift)) & packing.guard
+        assert fits == (not overflowing(shift, a) and not overflowing(shift, b))
+
+
 class TestArithmetic:
     def test_ring_construction_rejects_duplicates(self):
         with pytest.raises(PolyError):
@@ -227,6 +286,16 @@ class TestArithmetic:
         with pytest.raises(RingMismatchError):
             ring_xy.parse("x") + ring_p.parse("x")
 
+    def test_from_terms_rejects_exponents_out_of_range(self, ring_xy):
+        top = ring_xy.from_terms([(1, (MAX_EXPONENT - 1, 0))])
+        assert top.terms == {(MAX_EXPONENT - 1, 0): 1}
+        for mono in [(MAX_EXPONENT, 0), (MAX_EXPONENT + 5, 0), (0, 1 << 40)]:
+            with pytest.raises(ExponentOverflowError):
+                ring_xy.from_terms([(1, mono)])
+        for mono in [(-1, 2), (1.5, 0), (0, Fraction(1, 2)), (0, "2")]:
+            with pytest.raises(PolyError, match="not a nonnegative integer"):
+                ring_xy.from_terms([(1, mono)])
+
     def test_exponent_overflow(self, ring_xy):
         x = ring_xy.gens()[0]
         big = ring_xy.from_terms([(1, (MAX_EXPONENT - 1, 0))])
@@ -245,6 +314,12 @@ class TestArithmetic:
         f = ring_p.from_terms([(3, (MAX_EXPONENT - 2, 0, 0)), (5, (0, 2, 1))])
         g = x + y**4 + z
         assert (f * g).exact_divide(g) == f
+
+    def test_exponent_overflow_in_exact_divide(self, ring_xy):
+        # The first quotient term x^65535 times the divisor's x overflows.
+        x, y = ring_xy.gens()
+        with pytest.raises(ExponentOverflowError):
+            ring_xy.from_terms([(1, (MAX_EXPONENT - 1, 1))]).exact_divide(x + y)
 
     def test_modular_coefficients_wrap(self, ring_p):
         f = ring_p.parse("100*x + 2*x")
