@@ -11,7 +11,6 @@ from .polyring import (
     PolyError,
     Polynomial,
     PolyRing,
-    compare_monomials,
     identity_order,
     parse_polynomial,
     random_order,

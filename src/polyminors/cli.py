@@ -92,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(args, strategy_default=None) -> MinorLoopConfig:
+def _make_config(args) -> MinorLoopConfig:
     cfg = MinorLoopConfig()
-    strategy_name = getattr(args, "strategy", None) or strategy_default
+    strategy_name = getattr(args, "strategy", None)
     if strategy_name:
         cfg.strategy = parse_strategy(strategy_name)
     max_minors = getattr(args, "max_minors", None)
@@ -192,9 +192,8 @@ def main(argv=None) -> int:
             return EXIT_TRUE if ok else EXIT_FALSE
 
         if args.command == "regular-in-codim":
-            ideal = _need(problem, "ideal", "ideal")
             cfg = _make_config(args)
-            report = regular_in_codimension(args.n, RingPresentation(ideal), cfg, rng)
+            report = regular_in_codimension(args.n, RingPresentation(problem.ideal), cfg, rng)
             _emit(_report(args, seed, started, result=report.result,
                           considered=report.considered, computed=report.computed,
                           dimension=report.dimension,

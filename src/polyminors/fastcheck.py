@@ -118,7 +118,6 @@ class LoopReport:
     computed: int = 0
     dimension: object = None
     minors: list = dataclass_field(default_factory=list)
-    accumulated: Ideal = None
     dimension_history: list = dataclass_field(default_factory=list)
 
 
@@ -201,24 +200,22 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     rng = rng or random.Random()
     if cfg.modulus is not None:
         presentation = _with_modulus(presentation, cfg.modulus)
-    ring = presentation.ring
     defining = presentation.ideal
-    num_vars = ring.num_vars
+    num_vars = presentation.ring.num_vars
     d = dim_quotient(defining, s_pair_cap=cfg.s_pair_cap)
     if d == -1:
         # Empty variety: vacuously regular in every codimension.
-        return LoopReport(result=True, dimension=-1, accumulated=defining)
+        return LoopReport(result=True, dimension=-1)
     target_dim = d - n - 1
     minor_size = num_vars - d
     gens = [g for g in defining.generators if not g.is_zero()]
     if minor_size == 0:
         # dim equals the ambient dimension, so the size-0 minor ideal is the
         # unit ideal and the singular locus is empty.
-        accumulated = Ideal(defining.generators + [ring.one()], ring)
-        return LoopReport(result=True, dimension=-1, accumulated=accumulated)
+        return LoopReport(result=True, dimension=-1)
     jac = jacobian(gens)
     if minor_size > min(jac.nrows, jac.ncols):
-        return LoopReport(result=None, dimension=d, accumulated=defining)
+        return LoopReport(result=None, dimension=d)
 
     possible = count_possible_minors(jac.nrows, jac.ncols, minor_size)
     minors_needed = n + 1
@@ -305,7 +302,6 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         outcome = run_checkpoint()
 
     cfg.log(f"regularInCodimension: final dimension = {current_dim}")
-    accumulated = Ideal(defining.generators + minors, ring)
     if outcome:
         result = True
     elif outcome is False and selector.computed >= possible:
@@ -319,7 +315,6 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         computed=selector.computed,
         dimension=current_dim,
         minors=minors,
-        accumulated=accumulated,
         dimension_history=history,
     )
 

@@ -79,10 +79,13 @@ class _Entry:
 
 def _prepared(basis, order):
     """An _Entry for each nonzero polynomial of the basis."""
+    basis = [g for g in basis if g.terms]
+    if basis and basis[0].ring.num_vars != order.num_vars:
+        raise PolyError("monomial length does not match order")
     packing = order.packing
     pack = packing.pack
     return [_Entry({pack(m): c for m, c in g.terms.items()}, g.terms, g.ring.field, packing)
-            for g in basis if g.terms]
+            for g in basis]
 
 
 def _unpacked(terms: dict, packing, ring) -> Polynomial:

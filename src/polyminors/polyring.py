@@ -4,10 +4,11 @@ Coefficients are either arbitrary-precision rationals (fractions.Fraction) or
 elements of a prime field F_p stored as machine ints in [0, p).  Polynomials
 are immutable dicts mapping exponent tuples (nonnegative, below MAX_EXPONENT)
 to nonzero coefficients; tuples are what every public function takes and
-returns.  The division loops (`Polynomial.exact_divide` and the Groebner core
-in `gbasis`) instead hold each monomial as one int from the order's
-ExponentPacking, where comparison is the order, multiplication an add and
-divisibility one mask test.
+returns.  A monomial order has one encoding, its ExponentPacking: each
+monomial becomes one int, comparing ints is the order, multiplication an add
+and divisibility one mask test.  Leading terms, printing, the greedy ranking
+and the division loops (`Polynomial.exact_divide` and the Groebner core in
+`gbasis`) all order monomials by these ints.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ MAX_EXPONENT = 1 << 16
 
 LEX = "Lex"
 GREVLEX = "GRevLex"
-
-SMALLEST = "smallest"
-LARGEST = "largest"
 
 
 class PolyError(Exception):
@@ -153,8 +151,9 @@ def GF(p: int) -> CoefficientField:
 class MonomialOrder:
     """A Lex or GRevLex order with a variable permutation.
 
-    permutation[0] is the most significant variable index.  The key() method
-    returns a tuple that sorts monomials ascending under the order.
+    permutation[0] is the most significant variable index.  `packing.pack`
+    is the order's sort key: it maps each monomial to an int, and ints sort
+    ascending exactly as the monomials do under the order.
     """
 
     kind: str
@@ -169,16 +168,6 @@ class MonomialOrder:
     @property
     def num_vars(self) -> int:
         return len(self.permutation)
-
-    def key(self, exponents: tuple):
-        if len(exponents) != len(self.permutation):
-            raise PolyError("monomial length does not match order")
-        if self.kind == LEX:
-            return tuple([exponents[i] for i in self.permutation])
-        # GRevLex: total degree first; ties broken by scanning from the least
-        # significant variable upward, larger exponent at the first difference
-        # meaning smaller monomial.
-        return (sum(exponents), *[-exponents[i] for i in reversed(self.permutation)])
 
     @cached_property
     def packing(self) -> "ExponentPacking":
@@ -264,21 +253,6 @@ def random_order(kind: str, num_vars: int, rng) -> MonomialOrder:
     return MonomialOrder(kind, tuple(perm))
 
 
-def compare_monomials(a: tuple, b: tuple, order: MonomialOrder) -> int:
-    """-1, 0 or 1 as a is smaller than, equal to, or larger than b."""
-    if len(a) != len(b) or len(a) != order.num_vars:
-        raise PolyError("monomial length mismatch")
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
-
-
-def monomial_mul(a: tuple, b: tuple) -> tuple:
-    out = tuple(map(add, a, b))
-    if out and max(out) >= MAX_EXPONENT:
-        raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
-    return out
-
-
 def _max_exponents(terms) -> list:
     """Each variable's largest exponent over the monomials of a term dict."""
     return [max(column) for column in zip(*terms)]
@@ -288,11 +262,6 @@ def _over_common_denominator(terms):
     """(d, [(monomial, integer numerator)]) with each coefficient = numerator / d."""
     d = lcm(*[c.denominator for c in terms.values()])
     return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
-
-
-def monomial_div(a: tuple, b: tuple) -> tuple:
-    """Quotient a / b, assuming b divides a."""
-    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: tuple, b: tuple) -> tuple:
@@ -404,24 +373,20 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def sorted_terms(self, order: MonomialOrder = None):
-        """(monomial, coefficient) pairs, descending under the order."""
-        order = order or self.ring.canonical_order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self):
+        """(monomial, coefficient) pairs, descending under the canonical order."""
+        pack = self.ring.canonical_order.packing.pack
+        return sorted(self.terms.items(), key=lambda t: pack(t[0]), reverse=True)
 
     def lead_term(self, order: MonomialOrder = None):
         """(monomial, coefficient) of the largest term under the order."""
         if not self.terms:
             raise PolyError("zero polynomial has no lead term")
         order = order or self.ring.canonical_order
-        m = max(self.terms, key=order.key)
+        if order.num_vars != self.ring.num_vars:
+            raise PolyError("monomial length does not match order")
+        m = max(self.terms, key=order.packing.pack)
         return m, self.terms[m]
-
-    def extremal_monomial(self, order: MonomialOrder, direction: str = SMALLEST) -> tuple:
-        if not self.terms:
-            raise PolyError("extremal_monomial of the zero polynomial")
-        pick = min if direction == SMALLEST else max
-        return pick(self.terms, key=order.key)
 
     def _check_ring(self, other):
         if self.ring != other.ring:

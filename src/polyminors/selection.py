@@ -7,13 +7,7 @@ from enum import Enum
 
 from .gbasis import Ideal
 from .polylinalg import PolyMatrix, SubmatrixChoice, numeric_rank
-from .polyring import (
-    GREVLEX,
-    LARGEST,
-    LEX,
-    PolyError,
-    random_order,
-)
+from .polyring import GREVLEX, LEX, PolyError, random_order
 
 MUTATION_RESET_PERIOD = 5
 DEFAULT_POINT_ATTEMPTS = 2000
@@ -208,10 +202,11 @@ def choose_submatrix_greedy(method: SelectionMethod, size: int, working: Working
                             order=None) -> SubmatrixChoice:
     """Greedy extremal-entry selection under a freshly randomized order.
 
-    Repeats `size` times: find the surviving nonzero entry whose comparison
-    monomial is extremal under the order (ties broken uniformly at random),
-    record its row and column, then delete both.  A pinned `order` replaces
-    the random draw (its kind must match the method).
+    Each nonzero entry is ranked by one int: its smallest packed monomial
+    under the order, or its largest for the *Largest methods.  Then, `size`
+    times: take the surviving entry of extremal rank (ties broken uniformly
+    at random), record its row and column, and delete both.  A pinned
+    `order` replaces the random draw (its kind and length must match).
     """
     if method not in _GREEDY_METHODS:
         raise PolyError(f"{method.value} is not a greedy method")
@@ -219,29 +214,28 @@ def choose_submatrix_greedy(method: SelectionMethod, size: int, working: Working
     if size > min(M.nrows, M.ncols):
         raise SelectionFailedError("submatrix size exceeds matrix dimensions")
     kind = GREVLEX if method in _GREVLEX_METHODS else LEX
-    direction = LARGEST if method.value.endswith("Largest") else "smallest"
     if order is not None and order.kind != kind:
         raise PolyError(f"pinned order kind {order.kind} does not match {method.value}")
+    if order is not None and order.num_vars != M.ring.num_vars:
+        raise PolyError("monomial length does not match order")
     order = order or random_order(kind, M.ring.num_vars, rng)
     use_mutated = method in _GREVLEX_METHODS
+    entries = working.mutated if use_mutated else M.entries
+    pick = max if method.value.endswith("Largest") else min
+    pack = order.packing.pack
 
-    def entry(i, j):
-        return working.mutated[i][j] if use_mutated else M[i, j]
-
-    keys = {}
-    for i in range(M.nrows):
-        for j in range(M.ncols):
-            e = entry(i, j)
-            if not e.is_zero():
-                # Entries are ranked by their extremal monomial in the scan
-                # direction; SmallestTerm literally replaces the entry by its
-                # smallest term first, which ranks identically.
-                keys[(i, j)] = order.key(e.extremal_monomial(order, direction))
+    # SmallestTerm literally replaces the entry by its smallest term first,
+    # which ranks identically.
+    keys = {
+        (i, j): pick(map(pack, e.terms))
+        for i, row in enumerate(entries)
+        for j, e in enumerate(row)
+        if e.terms
+    }
 
     rows, cols = [], []
     alive_rows = set(range(M.nrows))
     alive_cols = set(range(M.ncols))
-    pick = min if direction == "smallest" else max
     for _ in range(size):
         candidates = [
             (i, j) for (i, j) in keys if i in alive_rows and j in alive_cols

@@ -138,6 +138,21 @@ class TestRegularInCodim:
              "--n", "1"])
         assert code == EXIT_FALSE
 
+    def test_no_ideal_block_means_the_zero_ideal(self, capsys, tmp_path):
+        # The parser fills a missing ideal block with the zero ideal, so the
+        # quotient is the whole (regular) polynomial ring.
+        path = tmp_path / "noideal.pm"
+        path.write_text("ring: 101; x, y\nmatrix: [[x, y], [y, x]]\n")
+        code, rep = run_json(
+            capsys,
+            ["--seed", "1", "--format", "json", "regular-in-codim", str(path),
+             "--n", "1"])
+        assert code == EXIT_TRUE
+        rep.pop("time")
+        assert rep == {"command": "regular-in-codim", "seed": 1, "result": True,
+                       "considered": 0, "computed": 0, "dimension": -1,
+                       "generators": []}
+
     def test_verbose_goes_to_stderr(self, capsys, curve_file):
         code = main(["--seed", "0", "--format", "json", "regular-in-codim",
                      curve_file, "--n", "1", "--verbose"])

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from operator import sub
 
 import pytest
 
@@ -13,6 +14,7 @@ from polyminors import (
     BudgetExceededError,
     Ideal,
     MonomialOrder,
+    PolyError,
     PolyRing,
     buchberger,
     codim_quotient,
@@ -25,7 +27,6 @@ from polyminors.gbasis import minimum_vertex_cover, monomial_ideal_codim
 from polyminors.polyring import (
     ExponentOverflowError,
     identity_order,
-    monomial_div,
     monomial_lcm,
     random_polynomial,
 )
@@ -36,8 +37,8 @@ def spoly(f, g, order):
     lg, cg = g.lead_term(order)
     l = monomial_lcm(lf, lg)
     ring = f.ring
-    mf = ring.from_terms([(ring.field.inv(cf), monomial_div(l, lf))])
-    mg = ring.from_terms([(ring.field.inv(cg), monomial_div(l, lg))])
+    mf = ring.from_terms([(ring.field.inv(cf), tuple(map(sub, l, lf)))])
+    mg = ring.from_terms([(ring.field.inv(cg), tuple(map(sub, l, lg)))])
     return mf * f - mg * g
 
 
@@ -91,7 +92,7 @@ class TestBuchberger:
         gb = buchberger(random_ideal(R, rng).generators, order)
         for g in gb:
             assert g.lead_term(order)[1] == 1
-        keys = [order.key(g.lead_term(order)[0]) for g in gb]
+        keys = [order.packing.pack(g.lead_term(order)[0]) for g in gb]
         assert keys == sorted(keys)
 
     def test_basis_is_reduced(self):
@@ -139,6 +140,16 @@ class TestBuchberger:
         gens = [R.parse("x*y^65535 + 1"), R.parse("x*y + y^2")]
         with pytest.raises(ExponentOverflowError):
             buchberger(gens)
+
+    def test_order_of_another_length_rejected(self):
+        # Packing with another length would return exponent tuples of that length.
+        R = PolyRing(QQ, ["x", "y"])
+        x, y = R.gens()
+        for order in [MonomialOrder(LEX, (0,)), MonomialOrder(LEX, (0, 1, 2))]:
+            with pytest.raises(PolyError, match="does not match order"):
+                buchberger([x * y - 1, x - y], order)
+            with pytest.raises(PolyError, match="does not match order"):
+                normal_form(x * y, [x - y], order)
 
     @pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
     def test_exponent_overflow_in_a_reduction_raises(self, field):

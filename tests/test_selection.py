@@ -114,6 +114,14 @@ class TestGreedySelection:
                 order=MonomialOrder(GREVLEX, (0, 1)),
             )
 
+    def test_order_length_mismatch(self, monomial_matrix):
+        working = WorkingMatrix(monomial_matrix)
+        with pytest.raises(PolyError):
+            choose_submatrix_greedy(
+                SelectionMethod.LEX_SMALLEST, 2, working, random.Random(0),
+                order=MonomialOrder(LEX, (0, 1, 2)),
+            )
+
     def test_largest_prefers_high_degree(self, monomial_matrix):
         working = WorkingMatrix(monomial_matrix)
         choice = choose_submatrix_greedy(
