@@ -16,6 +16,7 @@ from .polyring import (
     random_order,
 )
 from .polylinalg import (
+    ChainComplexInput,
     PolyMatrix,
     SubmatrixChoice,
     count_possible_minors,
@@ -53,7 +54,6 @@ from .selection import (
     parse_strategy,
 )
 from .fastcheck import (
-    ChainComplexInput,
     LoopReport,
     MinorLoopConfig,
     checkpoint_schedule,

@@ -8,7 +8,8 @@ import random
 import sys
 from dataclasses import dataclass, field as dataclass_field
 
-# Every name that perfbench/tracer.py patches on this module must stay importable here.
+# Every name that perfbench/tracer.py patches on this module must stay importable
+# here, used or not; tests/test_imports.py allows exactly those unused.
 from .gbasis import (
     BudgetExceededError,
     DEFAULT_S_PAIR_CAP,
@@ -22,8 +23,8 @@ from .gbasis import (
     normal_form,
 )
 from .polylinalg import (
+    ChainComplexInput,
     PolyMatrix,
-    SubmatrixChoice,
     count_possible_minors,
     det_bareiss,
     determinant,
@@ -182,7 +183,7 @@ def _with_modulus(presentation: RingPresentation, p: int) -> RingPresentation:
 
 def regular_in_codimension(n: int, presentation: RingPresentation,
                            cfg: MinorLoopConfig = None, rng=None) -> LoopReport:
-    """Try to verify the quotient ring is regular in codimension n.
+    """Try to verify the quotient ring is regular in codimension n >= 0.
 
     Accumulates Jacobian minors of size (num_vars - dim) on top of the
     defining ideal; succeeds once the accumulated locus has dimension at most
@@ -191,11 +192,13 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     submatrix was computed and the bound still fails on a complete Groebner
     basis.  The caller asserts equidimensionality.
 
-    Each checkpoint extends the previous basis by the new minors and stops as
-    soon as the heads found so far reach the codimension the bound needs (the
+    Each checkpoint installs the new minors into the previous basis and stops
+    once the heads found so far reach the codimension the bound needs (the
     fast codim bound succeeded); that happens exactly when the full basis
     would reach it, so the stop changes no verdict or count.
     """
+    if n < 0:
+        raise PolyError("codimension n must be nonnegative")
     cfg = cfg or MinorLoopConfig()
     rng = rng or random.Random()
     if cfg.modulus is not None:
@@ -243,8 +246,8 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     def run_checkpoint():
         """True on success, False if the bound fails, None if the Groebner budget ran out.
 
-        Minors stay pending until a checkpoint completes, so a budget failure
-        drops none of them.
+        One `buchberger` call installs the pending minors.  They stay pending
+        until a checkpoint completes, so a budget failure drops none of them.
         """
         nonlocal current_gb, current_dim, pending
         cfg.log(
@@ -252,14 +255,9 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
             f"computed = {selector.computed}"
         )
         try:
-            reduced = [
-                normal_form(m, current_gb) for m in pending
-            ]
-            reduced = [m for m in reduced if not m.is_zero()]
-            if reduced:
-                current_gb = buchberger(current_gb + reduced, s_pair_cap=cfg.s_pair_cap,
-                                        gb_prefix=len(current_gb),
-                                        codim_at_least=fast_codim_bound)
+            current_gb = buchberger(current_gb + pending, s_pair_cap=cfg.s_pair_cap,
+                                    gb_prefix=len(current_gb),
+                                    codim_at_least=fast_codim_bound)
         except BudgetExceededError:
             cfg.log(
                 f"regularInCodimension: S-pair budget of {cfg.s_pair_cap} exceeded, "
@@ -317,37 +315,6 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         minors=minors,
         dimension_history=history,
     )
-
-
-class ChainComplexInput:
-    """A user-supplied complex of free modules given by its matrices d_1..d_q.
-
-    Shapes must compose (cols of d_i = rows of d_{i+1}) and consecutive maps
-    must compose to zero; both are validated on construction.
-    """
-
-    def __init__(self, maps):
-        self.maps = list(maps)
-        if not self.maps:
-            raise PolyError("complex needs at least one map")
-        self.ring = self.maps[0].ring
-        for i, d in enumerate(self.maps):
-            if d.ring != self.ring:
-                raise PolyError("complex maps over different rings")
-            if i + 1 < len(self.maps):
-                nxt = self.maps[i + 1]
-                if d.ncols != nxt.nrows:
-                    raise PolyError(
-                        f"shape mismatch: d{i+1} has {d.ncols} columns but "
-                        f"d{i+2} has {nxt.nrows} rows"
-                    )
-                prod = d * nxt
-                if any(not e.is_zero() for row in prod.entries for e in row):
-                    raise PolyError(f"d{i+1} * d{i+2} is not zero")
-
-    @property
-    def length(self) -> int:
-        return len(self.maps)
 
 
 def proj_dim_upper_bound(complex_input: ChainComplexInput, min_dimension: int = 0,

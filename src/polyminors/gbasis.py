@@ -1,5 +1,8 @@
 """Groebner machinery: Buchberger, membership, Krull dimension, codim bounds.
 
+`buchberger` is the only way into the S-pair loop: it installs new generators
+into a known basis (reduced by it, then paired) and runs `is_codim_at_least`.
+
 Inside the division and S-pair loops every monomial is one int from the
 order's ExponentPacking (see `polyring`): comparing ints compares monomials, a
 product is an add, and divisibility and exponent overflow are one guard-bit
@@ -83,8 +86,7 @@ def _prepared(basis, order):
     if basis and basis[0].ring.num_vars != order.num_vars:
         raise PolyError("monomial length does not match order")
     packing = order.packing
-    pack = packing.pack
-    return [_Entry({pack(m): c for m, c in g.terms.items()}, g.terms, g.ring.field, packing)
+    return [_Entry({packing.pack(m): c for m, c in g.terms.items()}, g.terms, g.ring.field, packing)
             for g in basis]
 
 
@@ -158,8 +160,7 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = None) -> Polynomial
     if not prep or p.is_zero():
         return p
     packing = order.packing
-    pack = packing.pack
-    terms = {pack(m): c for m, c in p.terms.items()}
+    terms = {packing.pack(m): c for m, c in p.terms.items()}
     rem = _reduce_prepared(terms, prep, packing.guard, p.ring.field.characteristic, {})
     return _unpacked(rem, packing, p.ring)
 
@@ -184,13 +185,7 @@ def _spoly_terms(f, g, lcm: int, guard: int, p: int) -> dict:
     return acc
 
 
-# How a run of _pair_loop ended.
-_COMPLETE = "complete"  # the queue emptied, or a nonzero constant joined
-_PAIR_LIMIT = "pair limit"  # `limit` pairs were taken and live pairs remain
-_CODIM_REACHED = "codim reached"  # the heads reached the requested codimension
-
-
-def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: int = None) -> str:
+def _pair_loop(basis, order, ring, limit: int, start: int, codim_at_least: int) -> bool:
     """Extend a list of entries in place with S-pair remainders.
 
     Entries join one at a time through the Gebauer-Moeller update.  A joining
@@ -210,11 +205,11 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
     that codimension, tested on the input heads and then whenever a head
     brings a new minimal variable support.
 
-    Returns _PAIR_LIMIT when `limit` pairs have been taken from the queue and
-    live pairs remain (pairs the update drops are never taken),
-    _CODIM_REACHED at the codimension stop, and _COMPLETE when the queue
-    emptied or an input or remainder was a nonzero constant (the unit ideal,
-    whose basis is complete).
+    Returns True at the codimension stop and False when the basis is
+    complete: the queue emptied, or an input or remainder was a nonzero
+    constant (the unit ideal).  Raises BudgetExceededError when `limit` pairs
+    have been taken from the queue and live pairs remain (pairs the update
+    drops are never taken).
     """
     num_vars = ring.num_vars
     field = ring.field
@@ -275,9 +270,9 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
     if codim_at_least is not None:
         supports = _head_supports(entry.mask for entry in basis)
         if _supports_codim(supports, num_vars) >= codim_at_least:
-            return _CODIM_REACHED
+            return True
     if any(not entry.lm for entry in basis):
-        return _COMPLETE
+        return False
     for h in range(start, len(basis)):
         join(h)
 
@@ -286,9 +281,9 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
         while queue and (queue[0][2], queue[0][3]) not in live:
             heapq.heappop(queue)
         if not queue:
-            return _COMPLETE
+            return False
         if taken >= limit:
-            return _PAIR_LIMIT
+            raise BudgetExceededError(f"S-pair budget of {limit} exceeded")
         pair_sugar, l, i, j = heapq.heappop(queue)
         del live[(i, j)]
         taken += 1
@@ -303,10 +298,10 @@ def _pair_loop(basis, order, ring, limit: int, start: int = 0, codim_at_least: i
             if not any(not t & ~support for t in supports):
                 supports = [t for t in supports if support & ~t] + [support]
                 if _supports_codim(supports, num_vars) >= codim_at_least:
-                    return _CODIM_REACHED
+                    return True
         if not basis[h].lm:
             # A nonzero constant: the unit ideal.
-            return _COMPLETE
+            return False
         join(h)
 
 
@@ -317,18 +312,21 @@ def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAUL
     Runs the S-pair loop with at most `s_pair_cap` pairs taken from the queue;
     pairs the Gebauer-Moeller update drops are never taken, so they do not
     count.  When pairs remain past the cap it raises BudgetExceededError
-    rather than ever returning a wrong basis.  When the first `gb_prefix`
-    generators already form a Groebner basis under `order`, as a
-    checkpoint's previous basis does, pairs among them are skipped, so
-    extending a basis by a few elements costs only their pairs.
+    rather than ever returning a wrong basis.
+
+    When the first `gb_prefix` generators already form a Groebner basis
+    under `order`, as a checkpoint's previous basis does, each later
+    generator joins by its remainder modulo them, and a zero remainder joins
+    not at all.  Pairs among the prefix are skipped, so extending a basis by
+    a few elements costs one reduction each plus their pairs.
 
     With `codim_at_least` = c the loop stops as soon as the heads found so
     far generate a monomial ideal of codimension at least c.  Those heads lie
     in the initial ideal, so then codim(I) >= c, and the entries found so far
-    are returned, monic and unreduced: they generate the ideal and their
-    heads lie in in(I), but they need not form a Groebner basis.  The stop is
-    tested before the cap, so it can answer where the cap alone would raise.
-    When the heads never reach c, the result is the reduced basis.
+    are returned, monic but not auto-reduced: they generate the ideal and
+    their heads lie in in(I), but they need not form a Groebner basis.  The
+    stop is tested before the cap, so it can answer where the cap alone would
+    raise.  When the heads never reach c, the result is the reduced basis.
     """
     if all(g.is_zero() for g in generators):
         return []
@@ -336,13 +334,16 @@ def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAUL
     order = order or ring.canonical_order
     basis = _prepared(generators[:gb_prefix], order)
     start = len(basis)
-    basis += _prepared(generators[gb_prefix:], order)
-    outcome = _pair_loop(basis, order, ring, s_pair_cap, start, codim_at_least)
-    if outcome is _PAIR_LIMIT:
-        raise BudgetExceededError(f"S-pair budget of {s_pair_cap} exceeded")
-    if outcome is _CODIM_REACHED:
-        one = ring.field.one
-        return [_unpacked(entry.terms(one), order.packing, ring) for entry in basis]
+    inputs = _prepared(generators[gb_prefix:], order)
+    if start:
+        # Reduction is linear: the monic input's remainder is its normal form made monic.
+        field, packing, divisors = ring.field, order.packing, {}
+        rems = [_reduce_prepared(entry.terms(field.one), basis, packing.guard,
+                                 field.characteristic, divisors) for entry in inputs]
+        inputs = [_Entry(rem, map(packing.unpack, rem), field, packing) for rem in rems if rem]
+    basis += inputs
+    if _pair_loop(basis, order, ring, s_pair_cap, start, codim_at_least):
+        return [_unpacked(entry.terms(ring.field.one), order.packing, ring) for entry in basis]
     return _auto_reduce(basis, order, ring)
 
 
@@ -487,24 +488,24 @@ def is_codim_at_least(c: int, ideal: Ideal, order: MonomialOrder = None,
                       max_reductions: int = CODIM_PROBE_REDUCTIONS):
     """Sound fast lower-bound test: True, or None when inconclusive.
 
-    Runs the S-pair loop of `buchberger` on the generators, stopped after
-    `max_reductions` pairs taken from the queue (the unit of `s_pair_cap`)
-    or as soon as the heads found so far have codimension at least c.  Those
-    heads generate a monomial ideal inside the initial ideal, so its
-    codimension bounds codim(I) from below.  Never returns False.
+    A `buchberger` run on the generators, capped at `max_reductions` pairs
+    taken from the queue and stopped as soon as the heads found so far have
+    codimension at least c.  Those heads generate a monomial ideal inside
+    the initial ideal, so its codimension bounds codim(I) from below.  True
+    when the heads of the result reach c; None when they do not or the cap
+    ran out.  Never returns False.
     """
     if c < 0:
         raise PolyError("codimension bound must be nonnegative")
     if c == 0:
         return True
-    ring = ideal.ring
-    order = order or ring.canonical_order
-    basis = _prepared(ideal.generators, order)
-    if not basis:
+    order = order or ideal.ring.canonical_order
+    try:
+        basis = buchberger(ideal.generators, order, max_reductions, codim_at_least=c)
+    except BudgetExceededError:
         return None
-    if _pair_loop(basis, order, ring, max_reductions, codim_at_least=c) is _CODIM_REACHED:
-        return True
-    return None
+    heads = [g.lead_term(order)[0] for g in basis]
+    return True if monomial_ideal_codim(heads, ideal.ring.num_vars) >= c else None
 
 
 class RingPresentation:

@@ -1,4 +1,4 @@
-"""Polynomial matrices: determinant engines, recursive all-minors, ranks, Jacobians."""
+"""Polynomial matrices and complexes: determinant engines, all-minors, ranks, Jacobians."""
 
 from __future__ import annotations
 
@@ -116,6 +116,37 @@ class PolyMatrix:
 
     def __str__(self):
         return "[" + ",\n ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
+
+
+class ChainComplexInput:
+    """A user-supplied complex of free modules given by its matrices d_1..d_q.
+
+    Shapes must compose (cols of d_i = rows of d_{i+1}) and consecutive maps
+    must compose to zero; both are validated on construction.
+    """
+
+    def __init__(self, maps):
+        self.maps = list(maps)
+        if not self.maps:
+            raise PolyError("complex needs at least one map")
+        self.ring = self.maps[0].ring
+        for i, d in enumerate(self.maps):
+            if d.ring != self.ring:
+                raise PolyError("complex maps over different rings")
+            if i + 1 < len(self.maps):
+                nxt = self.maps[i + 1]
+                if d.ncols != nxt.nrows:
+                    raise PolyError(
+                        f"shape mismatch: d{i+1} has {d.ncols} columns but "
+                        f"d{i+2} has {nxt.nrows} rows"
+                    )
+                prod = d * nxt
+                if any(not e.is_zero() for row in prod.entries for e in row):
+                    raise PolyError(f"d{i+1} * d{i+2} is not zero")
+
+    @property
+    def length(self) -> int:
+        return len(self.maps)
 
 
 def det_bareiss(M: PolyMatrix) -> Polynomial:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fastcheck import ChainComplexInput
 from .gbasis import Ideal
-from .polylinalg import PolyMatrix
+from .polylinalg import ChainComplexInput, PolyMatrix
 from .polyring import CoefficientField, PolyError, PolyRing, parse_polynomial
 
 

@@ -138,6 +138,16 @@ class TestRegularInCodim:
              "--n", "1"])
         assert code == EXIT_FALSE
 
+    def test_negative_codimension_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "node.pm"
+        path.write_text("ring: 101; x, y\nideal: y^2 - x^3 - x^2\n")
+        code = main(["--seed", "3", "--format", "json", "regular-in-codim", str(path),
+                     "--n", "-3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_no_ideal_block_means_the_zero_ideal(self, capsys, tmp_path):
         # The parser fills a missing ideal block with the zero ideal, so the
         # quotient is the whole (regular) polynomial ring.

@@ -195,6 +195,13 @@ class TestRegularInCodimension:
             0, RingPresentation(I), MinorLoopConfig(), random.Random(0))
         assert report.result is True
 
+    def test_negative_codimension_rejected(self):
+        # Regularity in codimension n is defined only for n >= 0.
+        ring = PolyRing(GF(101), ["x", "y"])
+        I = Ideal([ring.parse("y^2 - x^3 - x^2")], ring)
+        with pytest.raises(PolyError, match="nonnegative"):
+            regular_in_codimension(-3, RingPresentation(I), MinorLoopConfig(), random.Random(3))
+
     def test_curve_example_single_run(self, curve_ideal):
         report = regular_in_codimension(
             1, RingPresentation(curve_ideal), MinorLoopConfig(), random.Random(0))

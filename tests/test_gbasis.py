@@ -194,6 +194,25 @@ class TestCodimStop:
         assert buchberger(gens, s_pair_cap=0, codim_at_least=2) == gens
         assert buchberger(gens) == [R.one()]
 
+    def test_inputs_past_the_prefix_join_by_their_normal_forms(self):
+        # A checkpoint hands its new minors to buchberger unreduced; the
+        # result must be that of handing it their nonzero normal forms.
+        rng = random.Random(9)
+        for ideal in ideal_corpus():
+            ring = ideal.ring
+            order = ring.canonical_order
+            gb = ideal.groebner_basis(order)
+            extra = random_ideal(ring, rng, count=2).generators
+            members = [gb[0] * extra[0], gb[-1] * extra[1]] if gb else [ring.zero()]
+            extra.append(members[0])
+            reduced = [r for e in extra if (r := normal_form(e, gb, order))]
+            for c in [None, *range(1, ring.num_vars + 2)]:
+                got = buchberger(gb + extra, order, gb_prefix=len(gb), codim_at_least=c)
+                assert got == buchberger(gb + reduced, order, gb_prefix=len(gb),
+                                         codim_at_least=c)
+                assert buchberger(gb + members, order, gb_prefix=len(gb),
+                                  codim_at_least=c) == gb
+
 
 class TestNormalForm:
     def test_remainder_not_divisible(self):
