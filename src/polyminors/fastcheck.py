@@ -95,9 +95,13 @@ class MinorLoopConfig:
     def resolve_max_minors(self, minors_needed: int, possible: int, fallback=default_max_minors) -> float:
         if self.max_minors is None:
             return fallback(minors_needed, possible)
-        if callable(self.max_minors):
-            return float(self.max_minors(minors_needed, possible))
-        return float(self.max_minors)
+        budget = self.max_minors
+        if callable(budget):
+            budget = budget(minors_needed, possible)
+        budget = float(budget)
+        if not budget >= 0:
+            raise PolyError(f"minor budget must be a nonnegative number, not {budget}")
+        return budget
 
     def log(self, message: str):
         if self.verbose:
@@ -122,11 +126,11 @@ class LoopReport:
     dimension_history: list = dataclass_field(default_factory=list)
 
 
-def _certify_rank(sub: PolyMatrix, r: int, rng) -> bool:
-    """Rank certificate for an r x r candidate: random evaluations first.
+def _full_rank_at_a_point(sub: PolyMatrix, r: int, rng) -> bool:
+    """Whether the r x r candidate has rank r at one of a few random points.
 
-    Full rank at any specialization proves symbolic rank r; after a few
-    failures fall back to the exact determinant.
+    Full rank at any point proves symbolic rank r.  A miss proves nothing:
+    over GF(2), det diag(x, x + 1) = x^2 + x vanishes at every point.
     """
     field = sub.ring.field
     for _ in range(RANK_EVALUATION_TRIES):
@@ -134,7 +138,26 @@ def _certify_rank(sub: PolyMatrix, r: int, rng) -> bool:
         rank, _, _ = numeric_rank(sub.evaluate(point), field)
         if rank == r:
             return True
-    return not det_bareiss(sub).is_zero()
+    return False
+
+
+def _certify_rank(sub: PolyMatrix, r: int, rng) -> bool:
+    """Rank certificate for an r x r candidate: random evaluations, then the exact determinant."""
+    return _full_rank_at_a_point(sub, r, rng) or not det_bareiss(sub).is_zero()
+
+
+def _search_submatrix_of_rank(r: int, M: PolyMatrix, cfg, rng, certify):
+    """The draw loop behind both rank queries; `certify(sub, r, rng)` judges each new candidate."""
+    cfg = cfg or MinorLoopConfig()
+    rng = rng or random.Random()
+    strategy = cfg.strategy or builtin_strategy("StrategyDefaultNonRandom")
+    possible = count_possible_minors(M.nrows, M.ncols, r)
+    budget = cfg.resolve_max_minors(1, possible)
+    selector = MinorSelector(M, strategy, rng)
+    for choice in selector.draws(r, budget, possible):
+        if choice is not None and certify(M.submatrix(choice), r, rng):
+            return choice
+    return None
 
 
 def get_submatrix_of_rank(r: int, M: PolyMatrix, cfg: MinorLoopConfig = None, rng=None):
@@ -147,25 +170,21 @@ def get_submatrix_of_rank(r: int, M: PolyMatrix, cfg: MinorLoopConfig = None, rn
         raise PolyError("requested rank must be positive")
     if r > min(M.nrows, M.ncols):
         return None
-    cfg = cfg or MinorLoopConfig()
-    rng = rng or random.Random()
-    strategy = cfg.strategy or builtin_strategy("StrategyDefaultNonRandom")
-    possible = count_possible_minors(M.nrows, M.ncols, r)
-    budget = cfg.resolve_max_minors(1, possible)
-    selector = MinorSelector(M, strategy, rng)
-    for choice in selector.draws(r, budget, possible):
-        if choice is not None and _certify_rank(M.submatrix(choice), r, rng):
-            return choice
-    return None
+    return _search_submatrix_of_rank(r, M, cfg, rng, _certify_rank)
 
 
 def is_rank_at_least(n: int, M: PolyMatrix, cfg: MinorLoopConfig = None, rng=None) -> bool:
-    """Whether rank(M) >= n; falls back to an exact rank when inconclusive."""
+    """Whether rank(M) >= n, from an n x n submatrix of full rank at a point or the exact rank.
+
+    No candidate needs an exact determinant: a full-rank evaluation proves the
+    rank, and when none is found `symbolic_rank` settles the question anyway.
+    For the same reason a repeated candidate is skipped untried.
+    """
     if n <= 0:
         return True
     if n > min(M.nrows, M.ncols):
         return False
-    if get_submatrix_of_rank(n, M, cfg, rng) is not None:
+    if _search_submatrix_of_rank(n, M, cfg, rng, _full_rank_at_a_point) is not None:
         return True
     return symbolic_rank(M) >= n
 

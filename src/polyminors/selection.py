@@ -422,6 +422,8 @@ def choose_good_minors(count: int, size: int, M: PolyMatrix, strategy: StrategyT
 
     if size > min(M.nrows, M.ncols) or size < 1:
         raise PolyError(f"minor size {size} out of range")
+    if count < 0:
+        raise PolyError(f"minor count must be nonnegative, not {count}")
     selector = MinorSelector(M, strategy, rng, points_ideal)
     minors = []
     for choice in selector.draws(size, count):

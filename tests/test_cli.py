@@ -248,6 +248,19 @@ class TestErrors:
         code = main(["minors", str(path), "--size", "1"])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        ["submatrix-of-rank", "--rank", "1", "--max-minors", "-3"],
+        ["submatrix-of-rank", "--rank", "1", "--max-minors", "nan"],
+        ["rank-at-least", "--rank", "2", "--max-minors", "nan"],
+        ["choose-minors", "--size", "2", "--count", "-1"],
+    ])
+    def test_nonsense_budget(self, capsys, matrix_file, argv):
+        code = main(["--seed", "1", "--format", "json", argv[0], matrix_file] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_bad_flag_value(self, matrix_file):
         with pytest.raises(SystemExit) as info:
             main(["minors", matrix_file, "--size", "eel"])

@@ -1,9 +1,11 @@
 """Checkpoints, budgets, rank search, regular-in-codimension, projective dimension."""
 
 import itertools
+import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,9 @@ from polyminors import (
     PolyMatrix,
     PolyRing,
     RingPresentation,
+    builtin_strategy,
     checkpoint_schedule,
+    choose_good_minors,
     default_max_minors,
     default_min_minors,
     dim_quotient,
@@ -82,6 +86,21 @@ class TestDefaults:
         cfg = MinorLoopConfig()
         assert cfg.resolve_max_minors(2, 17325) == pytest.approx(317.599, abs=1e-3)
 
+    def test_nonsense_budgets_rejected(self):
+        ring = PolyRing(GF(101), ["x"])
+        M = random_matrix(ring, 3, 3, 1, random.Random(0))
+        for bad in (-3, math.nan, lambda m, t: -1, lambda m, t: math.nan):
+            cfg = MinorLoopConfig(max_minors=bad)
+            with pytest.raises(PolyError):
+                cfg.resolve_max_minors(1, 10)
+            with pytest.raises(PolyError):
+                get_submatrix_of_rank(1, M, cfg, random.Random(0))
+        with pytest.raises(PolyError):
+            choose_good_minors(-1, 2, M, builtin_strategy("StrategyDefault"), random.Random(0))
+        assert MinorLoopConfig(max_minors=0).resolve_max_minors(1, 10) == 0.0
+        assert MinorLoopConfig(max_minors=math.inf).resolve_max_minors(1, 10) == math.inf
+        assert get_submatrix_of_rank(1, M, MinorLoopConfig(max_minors=0), random.Random(0)) is None
+
 
 def small_matrix_corpus():
     rng = random.Random(77)
@@ -96,6 +115,43 @@ def small_matrix_corpus():
     corpus.append(PolyMatrix(ring, [[z, z], [z, z]]))
     corpus.append(PolyMatrix(ring, [[x, z], [z, z]]))
     return corpus
+
+
+def rank_search_matrices():
+    """Two rank-3 GF(101) products of shape 5 x 6 and one rank-3 4 x 4 matrix over QQ."""
+    gf = PolyRing(GF(101), ["a", "b"])
+    qq = PolyRing(QQ, ["x", "y"])
+    matrices = {}
+    for seed in (11, 12):
+        rng = random.Random(seed)
+        A = random_matrix(gf, 5, 3, 1, rng)
+        matrices[f"gf101-{seed}"] = A * random_matrix(gf, 3, 6, 1, rng)
+    rng = random.Random(13)
+    matrices["qq-13"] = random_matrix(qq, 4, 3, 1, rng) * random_matrix(qq, 3, 4, 1, rng)
+    return matrices
+
+
+def rank_search_pins(M):
+    """Per r = 1..min(shape)+1: both verdicts, each with the next word of its rng."""
+    out = []
+    for r in range(1, min(M.shape) + 2):
+        rng = random.Random(r)
+        at_least = is_rank_at_least(r, M, MinorLoopConfig(), rng)
+        at_least_next = rng.random()
+        rng = random.Random(r)
+        choice = get_submatrix_of_rank(r, M, MinorLoopConfig(), rng)
+        choice_next = rng.random()
+        out.append({
+            "r": r,
+            "is_rank_at_least": at_least,
+            "is_rank_at_least_next": at_least_next,
+            "choice": None if choice is None else [list(choice.rows), list(choice.cols)],
+            "choice_next": choice_next,
+        })
+    return out
+
+
+RANK_SEARCH_GOLDEN = Path(__file__).parent / "rank_search_golden.json"
 
 
 class TestRankSearch:
@@ -134,6 +190,15 @@ class TestRankSearch:
         with pytest.raises(PolyError):
             get_submatrix_of_rank(0, M, MinorLoopConfig(), random.Random(0))
 
+    def test_pinned_verdicts_choices_and_rng_stream(self):
+        # The word drawn after each call pins how much of the stream it used.
+        golden = json.loads(RANK_SEARCH_GOLDEN.read_text())
+        matrices = rank_search_matrices()
+        assert sorted(golden) == sorted(matrices)
+        for name, M in matrices.items():
+            assert symbolic_rank(M) == 3
+            assert rank_search_pins(M) == golden[name], name
+
     def test_each_distinct_submatrix_certified_once(self, monkeypatch):
         # Rank 3, so no 4 x 4 certificate exists and the search runs until
         # every one of the possible submatrices has been drawn.
@@ -151,6 +216,33 @@ class TestRankSearch:
         cfg = MinorLoopConfig(max_minors=400)
         assert get_submatrix_of_rank(4, M, cfg, random.Random(0)) is None
         assert len(certified) == len(set(certified)) == count_possible_minors(5, 6, 4)
+
+    def test_rank_queries_settle_without_exact_determinants(self, monkeypatch):
+        M = rank_search_matrices()["gf101-11"]
+        gf2 = PolyRing(GF(2), ["x"])
+        (x,) = gf2.gens()
+        # det = x^2 + x vanishes at both points of GF(2): no evaluation
+        # certifies D, so the search needs its exact fallback to find it.
+        D = PolyMatrix(gf2, [[x, gf2.zero()], [gf2.zero(), x + 1]])
+        choice = get_submatrix_of_rank(2, D, MinorLoopConfig(), random.Random(0))
+        assert choice is not None and sorted(choice.rows) == sorted(choice.cols) == [0, 1]
+
+        def refuse(sub):
+            raise AssertionError("exact determinant in a rank query")
+
+        ranks = []
+
+        def recording(matrix):
+            ranks.append(symbolic_rank(matrix))
+            return ranks[-1]
+
+        monkeypatch.setattr(fastcheck, "det_bareiss", refuse)
+        monkeypatch.setattr(fastcheck, "symbolic_rank", recording)
+        assert is_rank_at_least(4, M, MinorLoopConfig(), random.Random(0)) is False
+        assert is_rank_at_least(3, M, MinorLoopConfig(), random.Random(0)) is True
+        assert ranks == [3]
+        assert is_rank_at_least(2, D, MinorLoopConfig(), random.Random(0)) is True
+        assert ranks == [3, 2]
 
 
 class TestRegularInCodimension:
