@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
-from .polyring import PolyError, Polynomial, PolyRing
+from .polyring import (
+    MAX_EXPONENT,
+    ExponentOverflowError,
+    PolyError,
+    Polynomial,
+    PolyRing,
+    _max_exponents,
+)
 
 DET_BAREISS = "bareiss"
 DET_COFACTOR = "cofactor"
@@ -230,6 +239,13 @@ def recursive_minors(k: int, M: PolyMatrix, table_cap: int = DEFAULT_TABLE_CAP):
     Level j minors are expanded along their first column using level j-1
     entries; only (row set, column set) pairs that feed some target are ever
     computed.  Output order is lexicographic in (row set, column set).
+
+    The table holds plain ints.  Each entry is a list of (packed monomial,
+    coefficient) pairs under the ring's canonical packing, which is linear,
+    so a product's monomial is one int add.  Over QQ every row is first
+    scaled by the lcm of its denominators, and each output minor is divided
+    by the product of its rows' scales, one Fraction per term.  Over GF(p)
+    each minor's sums are reduced mod p once.
     """
     if k < 1 or k > min(M.nrows, M.ncols):
         raise PolyError(f"minor size {k} out of range")
@@ -258,32 +274,75 @@ def recursive_minors(k: int, M: PolyMatrix, table_cap: int = DEFAULT_TABLE_CAP):
                 f"predicted minor table exceeds {table_cap} entries"
             )
 
-    table = {}
+    _check_minor_exponents(k, M)
+    ring = M.ring
+    p = ring.field.characteristic
+    packing = ring.canonical_order.packing
+    pack = packing.pack
+    scales = []
+    # signed[r][c] = (terms of M[r, c], their negation): the cofactor sign of
+    # the row's position i in a minor is signed[r][c][i & 1].
+    signed = []
+    for row in M.entries:
+        scale = 1 if p else math.lcm(*[c.denominator for e in row for c in e.terms.values()])
+        scales.append(scale)
+        cells = []
+        for e in row:
+            terms = [
+                (pack(m), c if p else c.numerator * (scale // c.denominator))
+                for m, c in e.terms.items()
+            ]
+            cells.append((terms, [(m, -c) for m, c in terms]))
+        signed.append(cells)
 
-    def det2(key):
-        (r0, r1), (c0, c1) = key
-        return M[r0, c0] * M[r1, c1] - M[r0, c1] * M[r1, c0]
-
-    def expand(key):
-        rows, cols = key
+    def expand(rows, cols):
         c0 = cols[0]
         tail = cols[1:]
-        det = M.ring.zero()
+        acc = defaultdict(int)
         for i, r in enumerate(rows):
-            e = M[r, c0]
-            if e.is_zero():
+            terms = signed[r][c0][i & 1]
+            if not terms:
                 continue
             sub = table[(rows[:i] + rows[i + 1 :], tail)]
-            term = e * sub
-            det = det + term if i % 2 == 0 else det - term
-        return det
+            for m1, c1 in terms:
+                for m2, c2 in sub:
+                    acc[m1 + m2] += c1 * c2
+        if p:
+            return [(m, v) for m, c in acc.items() if (v := c % p)]
+        return [(m, c) for m, c in acc.items() if c]
 
+    # Level 1 is the entries; only the just-finished level feeds the next one.
+    table = {
+        ((r,), (c,)): terms
+        for r, row in enumerate(signed)
+        for c, (terms, _) in enumerate(row)
+    }
     for level in range(2, k + 1):
-        compute = det2 if level == 2 else expand
-        # Only the just-finished level feeds the next one.
-        table = {key: compute(key) for key in sorted(needed[level])}
+        table = {key: expand(*key) for key in needed[level]}
 
-    return [table[key] for key in sorted(targets)]
+    unpack = packing.unpack
+    if p:
+        return [Polynomial(ring, {unpack(m): c for m, c in table[key]}) for key in targets]
+    minors = []
+    for key in targets:
+        d = math.prod(scales[r] for r in key[0])
+        minors.append(Polynomial(ring, {unpack(m): Fraction(c, d) for m, c in table[key]}))
+    return minors
+
+
+def _check_minor_exponents(k: int, M: PolyMatrix):
+    """Raise ExponentOverflowError unless every k x k minor's exponents fit the packing.
+
+    A minor's exponent in a variable is at most the sum of the k largest row
+    maxima of that variable, so packed adds cannot carry into the next field.
+    The bound ignores cancellation and column clashes, so it may refuse a
+    matrix whose minors would in fact fit.
+    """
+    n = M.ring.num_vars
+    maxima = [_max_exponents([m for e in row for m in e.terms]) or [0] * n for row in M.entries]
+    for column in zip(*maxima):
+        if sum(sorted(column)[-k:]) >= MAX_EXPONENT:
+            raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
 
 
 def numeric_rank(grid, field):

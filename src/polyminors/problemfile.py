@@ -7,6 +7,9 @@ block keyword):
     ideal: x*y - z^2; x^3 + y
     matrix: [[x, y], [z, 0]]
     complex: d1=[[x, y]]; d2=[[y], [-1*x]]
+
+Every matrix entry and row must be nonempty, and the maps of a complex are
+labelled d1, d2, ... in order.
 """
 
 from __future__ import annotations
@@ -104,21 +107,23 @@ def _parse_matrix_literal(text: str, ring: PolyRing, lineno: int) -> PolyMatrix:
     if not (text.startswith("[") and text.endswith("]")):
         raise ProblemFileError("matrix must be [[...],[...]]", lineno)
     inner = text[1:-1].strip()
+    if not inner:
+        raise ProblemFileError("empty matrix", lineno)
     rows = []
     for row_text in _split_top_level(inner, ","):
         row_text = row_text.strip()
-        if not row_text:
-            continue
         if not (row_text.startswith("[") and row_text.endswith("]")):
             raise ProblemFileError(f"matrix row must be bracketed: {row_text!r}", lineno)
-        entries = [
-            _parse_poly(e, ring, lineno)
-            for e in _split_top_level(row_text[1:-1], ",")
-            if e.strip()
-        ]
+        if not row_text[1:-1].strip():
+            raise ProblemFileError(f"empty matrix row {len(rows) + 1}", lineno)
+        entries = []
+        for e in _split_top_level(row_text[1:-1], ","):
+            if not e.strip():
+                raise ProblemFileError(
+                    f"empty entry {len(entries) + 1} in matrix row {len(rows) + 1}", lineno
+                )
+            entries.append(_parse_poly(e, ring, lineno))
         rows.append(entries)
-    if not rows:
-        raise ProblemFileError("empty matrix", lineno)
     width = len(rows[0])
     for row in rows:
         if len(row) != width:
@@ -153,7 +158,14 @@ def parse_problem_text(text: str) -> ProblemFile:
                     continue
                 if "=" not in item:
                     raise ProblemFileError(f"complex entry must be dN=[[...]]: {item!r}", lineno)
-                _, literal = item.split("=", 1)
+                label, literal = item.split("=", 1)
+                expected = f"d{len(maps) + 1}"
+                if label.strip() != expected:
+                    raise ProblemFileError(
+                        f"complex maps must be labelled d1, d2, ... in order: "
+                        f"got {label.strip()!r} where {expected!r} belongs",
+                        lineno,
+                    )
                 maps.append(_parse_matrix_literal(literal, ring, lineno))
             try:
                 problem.complex = ChainComplexInput(maps)

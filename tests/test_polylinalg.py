@@ -1,6 +1,7 @@
 """Determinant engines, recursive all-minors, ranks, and the Jacobian."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,9 @@ from polyminors.polylinalg import (
     identity_matrix,
     random_matrix,
 )
+from polyminors.polyring import ExponentOverflowError
+
+
 def brute_force_minors(k, M):
     return [
         det_bareiss(M.submatrix(SubmatrixChoice(r, c)))
@@ -161,6 +165,80 @@ class TestRecursiveMinors:
         M = random_matrix(ring, 8, 9, 1, random.Random(1))
         with pytest.raises(MinorTableTooLargeError):
             recursive_minors(5, M, table_cap=10)
+
+    @staticmethod
+    def rational_matrix(seed):
+        """4 x 5 over QQ[x, y]: rows with different denominators and signs, one zero row."""
+        rng = random.Random(seed)
+        ring = PolyRing(QQ, ["x", "y"])
+        M = random_matrix(ring, 4, 5, 2, rng)
+        rows = []
+        for i, row in enumerate(M.entries):
+            den = rng.choice([1, 2, 3, 7, 12])
+            rows.append([
+                ring.zero() if i == 2 or rng.random() < 0.2
+                else e.scalar_mul(Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), den))
+                for e in row
+            ])
+        return PolyMatrix(ring, rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rational_rows_with_denominators(self, seed):
+        M = self.rational_matrix(seed)
+        assert any(c.denominator > 1 for row in M.entries for e in row for c in e.terms.values())
+        for k in (2, 3, 4):
+            out = recursive_minors(k, M)
+            assert out == brute_force_minors(k, M)
+            for m in out:
+                for c in m.terms.values():
+                    assert type(c) is Fraction and c
+        # Every 4 x 4 minor uses the zero row 2.
+        assert all(m.is_zero() for m in recursive_minors(4, M))
+        assert any(not m.is_zero() for m in recursive_minors(3, M))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_square_rational_matches_cofactor(self, seed):
+        M = self.rational_matrix(seed)
+        square = M.submatrix(SubmatrixChoice((0, 1, 3), (0, 2, 4)))
+        assert recursive_minors(3, square) == [det_cofactor(square)]
+        assert determinant(square, "recursive") == det_cofactor(square)
+
+    def test_prime_field_coefficients_are_reduced(self):
+        p = 7
+        ring = PolyRing(GF(p), ["x", "y", "z"])
+        M = random_matrix(ring, 5, 5, 2, random.Random(4))
+        rows = [list(row) for row in M.entries]
+        rows[1][3] = ring.zero()
+        M = PolyMatrix(ring, rows)
+        for k in (2, 3, 5):
+            out = recursive_minors(k, M)
+            assert out == brute_force_minors(k, M)
+            for m in out:
+                for c in m.terms.values():
+                    assert type(c) is int and 0 < c < p
+        assert recursive_minors(5, M) == [det_cofactor(M)]
+
+    def test_exponent_overflow_raises(self):
+        # The 2 x 2 minor of diag(x^40000, x^40000) would need x^80000.
+        ring = PolyRing(GF(101), ["x", "y"])
+        big = ring.parse("x^40000")
+        M = PolyMatrix(ring, [[big, ring.zero()], [ring.zero(), big]])
+        with pytest.raises(ExponentOverflowError):
+            recursive_minors(2, M)
+        with pytest.raises(ExponentOverflowError):
+            determinant(M, "recursive")
+        # The 1 x 1 minors are the entries, which fit.
+        assert recursive_minors(1, M)[0] == big
+
+    def test_exponent_limit_is_exact(self):
+        # x^30000 * x^35535 has exponent MAX_EXPONENT - 1 and fits; one more does not.
+        ring = PolyRing(QQ, ["x", "y"])
+        a, b = ring.parse("x^30000*y"), ring.parse("1/3*x^35535")
+        M = PolyMatrix(ring, [[a, ring.one()], [ring.zero(), b]])
+        assert recursive_minors(2, M) == [a * b]
+        M = PolyMatrix(ring, [[a * ring.parse("x"), ring.one()], [ring.zero(), b]])
+        with pytest.raises(ExponentOverflowError):
+            recursive_minors(2, M)
 
 
 class TestRanks:

@@ -40,6 +40,35 @@ def test_complex_block():
     assert problem.complex.length == 2
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("[[x, , y], [1, 2]]", "empty entry 2 in matrix row 1"),
+        ("[[x, y], [1, 2, ]]", "empty entry 3 in matrix row 2"),
+        ("[[], []]", "empty matrix row 1"),
+        ("[[x], [ ]]", "empty matrix row 2"),
+        ("[]", "empty matrix$"),
+    ],
+)
+def test_empty_matrix_entries_and_rows_rejected(literal, message):
+    # An empty slot used to be dropped, shifting later entries left.
+    with pytest.raises(ProblemFileError, match=message):
+        parse_problem_text(f"ring: 0; x, y\nmatrix: {literal}\n")
+
+
+@pytest.mark.parametrize(
+    "body, got",
+    [
+        ("d2=[[x, y]]; d1=[[y], [-x]]", "'d2'"),
+        ("d1=[[x, y]]; d3=[[y], [-x]]", "'d3'"),
+        ("e1=[[x, y]]", "'e1'"),
+    ],
+)
+def test_complex_labels_must_run_d1_to_dq(body, got):
+    with pytest.raises(ProblemFileError, match=f"got {got} where"):
+        parse_problem_text(f"ring: 0; x, y\ncomplex: {body}\n")
+
+
 def test_ragged_matrix_rejected():
     with pytest.raises(ProblemFileError):
         parse_problem_text("ring: 0; x\nmatrix: [[x], [x, x]]\n")
