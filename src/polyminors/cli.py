@@ -64,11 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="StrategyDefaultNonRandom")
     p.add_argument("--max-minors", type=float, default=None)
 
+    # The answer is exact, so no strategy or minor budget applies.
     p = sub.add_parser("rank-at-least", help="certify a rank lower bound")
     p.add_argument("file")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--strategy", default="StrategyDefaultNonRandom")
-    p.add_argument("--max-minors", type=float, default=None)
 
     p = sub.add_parser("regular-in-codim", help="verify regularity in codimension n")
     p.add_argument("file")
@@ -186,8 +185,7 @@ def main(argv=None) -> int:
 
         if args.command == "rank-at-least":
             M = _need(problem, "matrix", "matrix")
-            cfg = _make_config(args)
-            ok = is_rank_at_least(args.rank, M, cfg, rng)
+            ok = is_rank_at_least(args.rank, M, rng=rng)
             _emit(_report(args, seed, started, result=ok), args)
             return EXIT_TRUE if ok else EXIT_FALSE
 

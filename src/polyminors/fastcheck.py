@@ -126,38 +126,24 @@ class LoopReport:
     dimension_history: list = dataclass_field(default_factory=list)
 
 
-def _full_rank_at_a_point(sub: PolyMatrix, r: int, rng) -> bool:
-    """Whether the r x r candidate has rank r at one of a few random points.
+def _rank_at_a_point(M: PolyMatrix, r: int, rng) -> bool:
+    """Whether M has rank at least r at one of a few random points.
 
-    Full rank at any point proves symbolic rank r.  A miss proves nothing:
+    Rank at any point is a lower bound on the rank.  A miss proves nothing:
     over GF(2), det diag(x, x + 1) = x^2 + x vanishes at every point.
     """
-    field = sub.ring.field
+    field = M.ring.field
     for _ in range(RANK_EVALUATION_TRIES):
-        point = [field.random_element(rng) for _ in range(sub.ring.num_vars)]
-        rank, _, _ = numeric_rank(sub.evaluate(point), field)
-        if rank == r:
+        point = [field.random_element(rng) for _ in range(M.ring.num_vars)]
+        rank, _, _ = numeric_rank(M.evaluate(point), field)
+        if rank >= r:
             return True
     return False
 
 
 def _certify_rank(sub: PolyMatrix, r: int, rng) -> bool:
     """Rank certificate for an r x r candidate: random evaluations, then the exact determinant."""
-    return _full_rank_at_a_point(sub, r, rng) or not det_bareiss(sub).is_zero()
-
-
-def _search_submatrix_of_rank(r: int, M: PolyMatrix, cfg, rng, certify):
-    """The draw loop behind both rank queries; `certify(sub, r, rng)` judges each new candidate."""
-    cfg = cfg or MinorLoopConfig()
-    rng = rng or random.Random()
-    strategy = cfg.strategy or builtin_strategy("StrategyDefaultNonRandom")
-    possible = count_possible_minors(M.nrows, M.ncols, r)
-    budget = cfg.resolve_max_minors(1, possible)
-    selector = MinorSelector(M, strategy, rng)
-    for choice in selector.draws(r, budget, possible):
-        if choice is not None and certify(M.submatrix(choice), r, rng):
-            return choice
-    return None
+    return _rank_at_a_point(sub, r, rng) or not det_bareiss(sub).is_zero()
 
 
 def get_submatrix_of_rank(r: int, M: PolyMatrix, cfg: MinorLoopConfig = None, rng=None):
@@ -170,23 +156,32 @@ def get_submatrix_of_rank(r: int, M: PolyMatrix, cfg: MinorLoopConfig = None, rn
         raise PolyError("requested rank must be positive")
     if r > min(M.nrows, M.ncols):
         return None
-    return _search_submatrix_of_rank(r, M, cfg, rng, _certify_rank)
+    cfg = cfg or MinorLoopConfig()
+    rng = rng or random.Random()
+    strategy = cfg.strategy or builtin_strategy("StrategyDefaultNonRandom")
+    possible = count_possible_minors(M.nrows, M.ncols, r)
+    budget = cfg.resolve_max_minors(1, possible)
+    selector = MinorSelector(M, strategy, rng)
+    for choice in selector.draws(r, budget, possible):
+        if choice is not None and _certify_rank(M.submatrix(choice), r, rng):
+            return choice
+    return None
 
 
 def is_rank_at_least(n: int, M: PolyMatrix, cfg: MinorLoopConfig = None, rng=None) -> bool:
-    """Whether rank(M) >= n, from an n x n submatrix of full rank at a point or the exact rank.
+    """Whether rank(M) >= n, from M's rank at a random point or its exact rank.
 
-    No candidate needs an exact determinant: a full-rank evaluation proves the
-    rank, and when none is found `symbolic_rank` settles the question anyway.
-    For the same reason a repeated candidate is skipped untried.
+    Any n x n block of full rank at a point gives M rank n there, so one
+    evaluation of the whole matrix is at least as strong as a submatrix
+    search, and `symbolic_rank` settles what no point shows.  No field of
+    `cfg` applies: the answer is exact whatever the strategy or budget.
     """
     if n <= 0:
         return True
     if n > min(M.nrows, M.ncols):
         return False
-    if _search_submatrix_of_rank(n, M, cfg, rng, _full_rank_at_a_point) is not None:
-        return True
-    return symbolic_rank(M) >= n
+    rng = rng or random.Random()
+    return _rank_at_a_point(M, n, rng) or symbolic_rank(M) >= n
 
 
 def _with_modulus(presentation: RingPresentation, p: int) -> RingPresentation:
@@ -219,6 +214,10 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     if n < 0:
         raise PolyError("codimension n must be nonnegative")
     cfg = cfg or MinorLoopConfig()
+    minors_needed = n + 1
+    min_minors = cfg.min_minors_fn(minors_needed)
+    if not min_minors >= 0:
+        raise PolyError(f"minimum minor count must be a nonnegative number, not {min_minors}")
     rng = rng or random.Random()
     if cfg.modulus is not None:
         presentation = _with_modulus(presentation, cfg.modulus)
@@ -240,9 +239,7 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         return LoopReport(result=None, dimension=d)
 
     possible = count_possible_minors(jac.nrows, jac.ncols, minor_size)
-    minors_needed = n + 1
     max_minors = cfg.resolve_max_minors(minors_needed, possible)
-    min_minors = cfg.min_minors_fn(minors_needed)
     cfg.log(
         f"regularInCodimension: ring dimension = {d}, possible minors = {possible}, "
         f"max minors = {max_minors:.3f}"

@@ -177,5 +177,9 @@ def parse_problem_text(text: str) -> ProblemFile:
 
 
 def parse_problem_file(path: str) -> ProblemFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_problem_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_problem_text(text)

@@ -251,7 +251,7 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ["submatrix-of-rank", "--rank", "1", "--max-minors", "-3"],
         ["submatrix-of-rank", "--rank", "1", "--max-minors", "nan"],
-        ["rank-at-least", "--rank", "2", "--max-minors", "nan"],
+        ["regular-in-codim", "--n", "1", "--min-minors", "-4"],
         ["choose-minors", "--size", "2", "--count", "-1"],
     ])
     def test_nonsense_budget(self, capsys, matrix_file, argv):
@@ -260,6 +260,22 @@ class TestErrors:
         assert code == EXIT_ERROR
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", [["--max-minors", "5"], ["--strategy", "StrategyDefault"]])
+    def test_rank_at_least_takes_no_budget_or_strategy(self, matrix_file, flag):
+        # The answer is exact, so neither a minor budget nor a strategy applies.
+        with pytest.raises(SystemExit) as info:
+            main(["rank-at-least", matrix_file, "--rank", "2"] + flag)
+        assert info.value.code == EXIT_ERROR
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.pm"
+        path.write_bytes(b"ring: 101; x\nideal: x\xff\n")
+        code = main(["gb-dim", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "UTF-8" in captured.err
 
     def test_bad_flag_value(self, matrix_file):
         with pytest.raises(SystemExit) as info:

@@ -230,6 +230,9 @@ class TestRankSearch:
         def refuse(sub):
             raise AssertionError("exact determinant in a rank query")
 
+        def refuse_draw(self, size):
+            raise AssertionError("submatrix draw in a rank query")
+
         ranks = []
 
         def recording(matrix):
@@ -237,6 +240,7 @@ class TestRankSearch:
             return ranks[-1]
 
         monkeypatch.setattr(fastcheck, "det_bareiss", refuse)
+        monkeypatch.setattr(fastcheck.MinorSelector, "next_choice", refuse_draw)
         monkeypatch.setattr(fastcheck, "symbolic_rank", recording)
         assert is_rank_at_least(4, M, MinorLoopConfig(), random.Random(0)) is False
         assert is_rank_at_least(3, M, MinorLoopConfig(), random.Random(0)) is True
@@ -293,6 +297,16 @@ class TestRegularInCodimension:
         I = Ideal([ring.parse("y^2 - x^3 - x^2")], ring)
         with pytest.raises(PolyError, match="nonnegative"):
             regular_in_codimension(-3, RingPresentation(I), MinorLoopConfig(), random.Random(3))
+
+    @pytest.mark.parametrize("count", [-4, math.nan])
+    def test_negative_or_nan_min_minors_rejected(self, count):
+        # A negative count would clamp the first checkpoint to 1, and NaN
+        # would never fire one.
+        ring = PolyRing(GF(101), ["x", "y"])
+        I = Ideal([ring.parse("x*y")], ring)
+        cfg = MinorLoopConfig(min_minors_fn=lambda m: count)
+        with pytest.raises(PolyError, match="nonnegative"):
+            regular_in_codimension(1, RingPresentation(I), cfg, random.Random(0))
 
     def test_curve_example_single_run(self, curve_ideal):
         report = regular_in_codimension(
