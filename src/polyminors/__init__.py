@@ -30,6 +30,7 @@ from .polylinalg import (
 )
 from .gbasis import (
     BudgetExceededError,
+    GroebnerState,
     Ideal,
     RingPresentation,
     buchberger,

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands and their JSON or text reports.
 
-Exit codes: 0 = verified/true, 1 = false, 2 = inconclusive, 3 = errors.
+Exit codes: 0 = verified/true, 1 = false, 2 = inconclusive, 3 = errors,
+crashes included (their traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import random
 import secrets
 import sys
 import time
+import traceback
 
 from .fastcheck import (
     MinorLoopConfig,
@@ -217,6 +219,10 @@ def main(argv=None) -> int:
         raise PolyError(f"unknown command {args.command!r}")
     except (PolyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception:
+        # A crash is an error, never the exit code of a false answer.
+        traceback.print_exc()
         return EXIT_ERROR
 
 

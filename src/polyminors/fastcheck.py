@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .gbasis import (
     BudgetExceededError,
     DEFAULT_S_PAIR_CAP,
+    GroebnerState,
     Ideal,
     RingPresentation,
     buchberger,
@@ -206,7 +207,8 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     submatrix was computed and the bound still fails on a complete Groebner
     basis.  The caller asserts equidimensionality.
 
-    Each checkpoint installs the new minors into the previous basis and stops
+    One `GroebnerState`, seeded with the defining ideal's basis, takes each
+    nonzero minor as it is drawn.  Each checkpoint completes it, stopping
     once the heads found so far reach the codimension the bound needs (the
     fast codim bound succeeded); that happens exactly when the full basis
     would reach it, so the stop changes no verdict or count.
@@ -223,7 +225,12 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         presentation = _with_modulus(presentation, cfg.modulus)
     defining = presentation.ideal
     num_vars = presentation.ring.num_vars
-    d = dim_quotient(defining, s_pair_cap=cfg.s_pair_cap)
+    try:
+        d = dim_quotient(defining, s_pair_cap=cfg.s_pair_cap)
+    except BudgetExceededError:
+        cfg.log(f"regularInCodimension: S-pair budget of {cfg.s_pair_cap} exceeded, "
+                "ring dimension = ?")
+        return LoopReport(result=None)
     if d == -1:
         # Empty variety: vacuously regular in every codimension.
         return LoopReport(result=True, dimension=-1)
@@ -251,8 +258,8 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     next_check = next(schedule)
 
     minors = []
-    pending = []
-    current_gb = defining.groebner_basis(s_pair_cap=cfg.s_pair_cap)
+    state = GroebnerState(defining.ring)
+    state.add(defining.groebner_basis(s_pair_cap=cfg.s_pair_cap))
     current_dim = d
     history = []
     # The unit ideal (codim num_vars + 1) always counts as success: dim -1
@@ -262,30 +269,23 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     def run_checkpoint():
         """True on success, False if the bound fails, None if the Groebner budget ran out.
 
-        One `buchberger` call installs the pending minors.  They stay pending
-        until a checkpoint completes, so a budget failure drops none of them.
+        The state keeps its pair queue when the budget runs out, so the next
+        checkpoint resumes it; the cap bounds the pairs one checkpoint takes.
         """
-        nonlocal current_gb, current_dim, pending
+        nonlocal current_dim
         cfg.log(
             f"regularInCodimension: checkpoint considered = {selector.considered} "
             f"computed = {selector.computed}"
         )
         try:
-            current_gb = buchberger(current_gb + pending, s_pair_cap=cfg.s_pair_cap,
-                                    gb_prefix=len(current_gb),
-                                    codim_at_least=fast_codim_bound)
+            fast = state.complete(cfg.s_pair_cap, fast_codim_bound)
         except BudgetExceededError:
             cfg.log(
                 f"regularInCodimension: S-pair budget of {cfg.s_pair_cap} exceeded, "
                 f"full dimension = ?"
             )
             return None
-        pending = []
-        # The heads reach the bound exactly when the early exit fired: a
-        # basis completed without it has the codimension of the ideal.
-        heads = [g.lead_term()[0] for g in current_gb]
-        codim = monomial_ideal_codim(heads, num_vars)
-        fast = codim >= fast_codim_bound
+        codim = state.codim()
         current_dim = -1 if codim == num_vars + 1 else num_vars - codim
         history.append(current_dim)
         word = "succeeded" if fast else "failed"
@@ -301,7 +301,7 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
             det = determinant(jac.submatrix(choice), cfg.det_strategy)
             if not det.is_zero():
                 minors.append(det)
-                pending.append(det)
+                state.add([det])
                 selector.points_ideal = selector.points_ideal + [det]
         if selector.considered >= next_check:
             next_check = next(schedule)

@@ -1,7 +1,9 @@
 """Groebner machinery: Buchberger, membership, Krull dimension, codim bounds.
 
-`buchberger` is the only way into the S-pair loop: it installs new generators
-into a known basis (reduced by it, then paired) and runs `is_codim_at_least`.
+`GroebnerState` is the only S-pair loop: a packed basis that `add` extends by
+the remainders of new generators and `complete` runs until it is a Groebner
+basis or its heads reach a codimension.  `buchberger`, `is_codim_at_least`
+and the checkpoints of `fastcheck.regular_in_codimension` all drive one.
 
 Inside the division and S-pair loops every monomial is one int from the
 order's ExponentPacking (see `polyring`): comparing ints compares monomials, a
@@ -80,16 +82,6 @@ class _Entry:
         return terms
 
 
-def _prepared(basis, order):
-    """An _Entry for each nonzero polynomial of the basis."""
-    basis = [g for g in basis if g.terms]
-    if basis and basis[0].ring.num_vars != order.num_vars:
-        raise PolyError("monomial length does not match order")
-    packing = order.packing
-    return [_Entry({packing.pack(m): c for m, c in g.terms.items()}, g.terms, g.ring.field, packing)
-            for g in basis]
-
-
 def _unpacked(terms: dict, packing, ring) -> Polynomial:
     unpack = packing.unpack
     return Polynomial(ring, {unpack(m): c for m, c in terms.items()})
@@ -156,10 +148,13 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = None) -> Polynomial
     No term of the result is divisible by any basis lead term.
     """
     order = order or p.ring.canonical_order
-    prep = _prepared(basis, order)
+    if p.ring.num_vars != order.num_vars:
+        raise PolyError("monomial length does not match order")
+    packing = order.packing
+    prep = [_Entry({packing.pack(m): c for m, c in g.terms.items()}, g.terms, g.ring.field, packing)
+            for g in basis if g.terms]
     if not prep or p.is_zero():
         return p
-    packing = order.packing
     terms = {packing.pack(m): c for m, c in p.terms.items()}
     rem = _reduce_prepared(terms, prep, packing.guard, p.ring.field.characteristic, {})
     return _unpacked(rem, packing, p.ring)
@@ -185,51 +180,63 @@ def _spoly_terms(f, g, lcm: int, guard: int, p: int) -> dict:
     return acc
 
 
-def _pair_loop(basis, order, ring, limit: int, start: int, codim_at_least: int) -> bool:
-    """Extend a list of entries in place with S-pair remainders.
+class GroebnerState:
+    """A packed basis under construction, kept between calls.
 
-    Entries join one at a time through the Gebauer-Moeller update.  A joining
-    entry h is paired with every useful entry (one whose lead no later lead
-    divides).  Of those pairs only one per minimal lcm is queued, and none
-    whose lcm a coprime pair also has.  A queued pair (i, j) is dropped when
-    lead(h) divides its lcm and neither lcm(lead(i), lead(h)) nor
-    lcm(lead(j), lead(h)) equals it.  Then h retires every useful entry
-    whose lead its lead divides.
-    Pairs leave the queue by least sugar, then least lcm.  Each one's
-    S-polynomial is reduced by all entries, and a nonzero remainder joins
-    with the pair's sugar; an input's sugar is its total degree.
-
-    The first `start` entries must already form a Groebner basis: they start
-    as the useful entries, with no pair among them.  With `codim_at_least`,
-    the loop stops as soon as the heads so far generate a monomial ideal of
-    that codimension, tested on the input heads and then whenever a head
-    brings a new minimal variable support.
-
-    Returns True at the codimension stop and False when the basis is
-    complete: the queue emptied, or an input or remainder was a nonzero
-    constant (the unit ideal).  Raises BudgetExceededError when `limit` pairs
-    have been taken from the queue and live pairs remain (pairs the update
-    drops are never taken).
+    Every pair of `entries` has been taken, dropped by the Gebauer-Moeller
+    update, or is still queued, so `add` and `complete` can extend one basis
+    any number of times.  Entries join one at a time.  A joining entry h is
+    paired with every useful entry (one whose lead no later lead divides).
+    Of those pairs only one per minimal lcm is queued, and none whose lcm a
+    coprime pair also has.  A queued pair (i, j) is dropped when lead(h)
+    divides its lcm and neither lcm(lead(i), lead(h)) nor lcm(lead(j),
+    lead(h)) equals it.  Then h retires every useful entry whose lead its
+    lead divides.  `supports` holds the minimal support masks of the leads.
     """
-    num_vars = ring.num_vars
-    field = ring.field
-    p = field.characteristic
-    packing = order.packing
-    pack, unpack, guard, offset = packing.pack, packing.unpack, packing.guard, packing.offset
-    useful = list(range(start))
-    live = {}  # (i, j) -> packed lcm, for pairs still queued
-    queue = []  # (sugar, packed lcm, i, j); dropped pairs are skipped lazily
-    divisors = {}  # shared by the reductions; the basis only grows at its end
 
-    def join(h):
-        nonlocal useful
-        entry_h = basis[h]
+    def __init__(self, ring: PolyRing, order: MonomialOrder = None):
+        order = order or ring.canonical_order
+        if ring.num_vars != order.num_vars:
+            raise PolyError("monomial length does not match order")
+        self.ring, self.order = ring, order
+        self.entries = []
+        self.useful = []
+        self.live = {}  # (i, j) -> packed lcm, for pairs still queued
+        self.queue = []  # (sugar, packed lcm, i, j); dropped pairs are skipped lazily
+        self.divisors = {}  # shared by every reduction; the entries only grow at their end
+        self.supports = []
+
+    def _reduce(self, terms: dict) -> dict:
+        return _reduce_prepared(terms, self.entries, self.order.packing.guard,
+                                self.ring.field.characteristic, self.divisors)
+
+    def add(self, polys):
+        """Join each polynomial's nonzero remainder modulo the entries before the call.
+
+        Reduction is linear, so a member of the ideal of a complete basis
+        joins nothing.  A remainder joins with its total degree as its sugar.
+        """
+        packing, field = self.order.packing, self.ring.field
+        inputs = [({packing.pack(m): c for m, c in g.terms.items()}, g.terms) for g in polys]
+        if self.entries:  # with none, each input is its own remainder and keeps its tuples
+            rems = [self._reduce(terms) for terms, _ in inputs]
+            inputs = [(rem, map(packing.unpack, rem)) for rem in rems]
+        for terms, monos in inputs:
+            if terms:
+                self._join(_Entry(terms, monos, field, packing))
+
+    def _join(self, entry_h) -> bool:
+        """Append an entry and update the pairs; True when its lead brings a new minimal support."""
+        entries, live, packing = self.entries, self.live, self.order.packing
+        pack, guard, offset = packing.pack, packing.guard, packing.offset
+        h = len(entries)
+        entries.append(entry_h)
         lead_h, mask_h, div_h = entry_h.lead, entry_h.mask, entry_h.div
         deg_h = sum(lead_h)
         # packed lcm -> [sugar, i, some pair with it is coprime]
         by_lcm = {}
-        for g in useful:
-            entry_g = basis[g]
+        for g in self.useful:
+            entry_g = entries[g]
             lead_g = entry_g.lead
             l = monomial_lcm(lead_g, lead_h)
             deg_l = sum(l)
@@ -248,8 +255,8 @@ def _pair_loop(basis, order, ring, limit: int, start: int, codim_at_least: int) 
             if (l - div_h) & guard:
                 continue
             i, j = key
-            if (pack(monomial_lcm(basis[i].lead, lead_h)) != l
-                    and pack(monomial_lcm(basis[j].lead, lead_h)) != l):
+            if (pack(monomial_lcm(entries[i].lead, lead_h)) != l
+                    and pack(monomial_lcm(entries[j].lead, lead_h)) != l):
                 del live[key]
         # Criteria M and F.  The order extends divisibility, so ascending
         # lcms meet every divisor of an lcm before the lcm itself.
@@ -263,62 +270,96 @@ def _pair_loop(basis, order, ring, limit: int, start: int, codim_at_least: int) 
                 pair_sugar, g, coprime = by_lcm[l]
                 if not coprime:
                     live[(g, h)] = l
-                    heapq.heappush(queue, (pair_sugar, l, g, h))
-        useful = [g for g in useful if (basis[g].lm - div_h) & guard]
-        useful.append(h)
+                    heapq.heappush(self.queue, (pair_sugar, l, g, h))
+        self.useful = [g for g in self.useful if (entries[g].lm - div_h) & guard]
+        self.useful.append(h)
+        if any(not t & ~mask_h for t in self.supports):
+            return False
+        self.supports = [t for t in self.supports if mask_h & ~t] + [mask_h]
+        return True
 
-    if codim_at_least is not None:
-        supports = _head_supports(entry.mask for entry in basis)
-        if _supports_codim(supports, num_vars) >= codim_at_least:
+    def codim(self) -> int:
+        """Codimension of the monomial ideal the leads so far generate."""
+        return _supports_codim(self.supports, self.ring.num_vars)
+
+    def complete(self, limit: int, codim_at_least: int = None) -> bool:
+        """Take queued pairs until the basis is complete; True at the codimension stop.
+
+        Pairs leave the queue by least sugar, then least lcm.  Each one's
+        S-polynomial is reduced by all entries, and a nonzero remainder joins
+        with the pair's sugar.  With `codim_at_least`, the loop stops as soon
+        as the leads so far generate a monomial ideal of that codimension,
+        tested first and then whenever a lead brings a new minimal support.
+
+        Returns True at the codimension stop and False when the basis is
+        complete: the queue emptied, or an entry is a nonzero constant (the
+        unit ideal).  Raises BudgetExceededError when `limit` pairs have been
+        taken in this call and live pairs remain; the queue is kept, so a
+        later call resumes it.
+        """
+        if codim_at_least is not None and self.codim() >= codim_at_least:
             return True
-    if any(not entry.lm for entry in basis):
-        return False
-    for h in range(start, len(basis)):
-        join(h)
+        if 0 in self.supports:
+            return False
+        field, packing, queue, live = self.ring.field, self.order.packing, self.queue, self.live
+        taken = 0
+        while True:
+            while queue and (queue[0][2], queue[0][3]) not in live:
+                heapq.heappop(queue)
+            if not queue:
+                return False
+            if taken >= limit:
+                raise BudgetExceededError(f"S-pair budget of {limit} exceeded")
+            pair_sugar, l, i, j = heapq.heappop(queue)
+            del live[(i, j)]
+            taken += 1
+            rem = self._reduce(_spoly_terms(self.entries[i], self.entries[j], l, packing.guard,
+                                            field.characteristic))
+            if not rem:
+                continue
+            entry = _Entry(rem, map(packing.unpack, rem), field, packing, pair_sugar)
+            if (self._join(entry) and codim_at_least is not None
+                    and self.codim() >= codim_at_least):
+                return True
+            if not entry.lm:
+                return False
 
-    taken = 0
-    while True:
-        while queue and (queue[0][2], queue[0][3]) not in live:
-            heapq.heappop(queue)
-        if not queue:
-            return False
-        if taken >= limit:
-            raise BudgetExceededError(f"S-pair budget of {limit} exceeded")
-        pair_sugar, l, i, j = heapq.heappop(queue)
-        del live[(i, j)]
-        taken += 1
-        s_terms = _spoly_terms(basis[i], basis[j], l, guard, p)
-        rem = _reduce_prepared(s_terms, basis, guard, p, divisors)
-        if not rem:
-            continue
-        basis.append(_Entry(rem, map(unpack, rem), field, packing, pair_sugar))
-        h = len(basis) - 1
-        if codim_at_least is not None:
-            support = basis[h].mask
-            if not any(not t & ~support for t in supports):
-                supports = [t for t in supports if support & ~t] + [support]
-                if _supports_codim(supports, num_vars) >= codim_at_least:
-                    return True
-        if not basis[h].lm:
-            # A nonzero constant: the unit ideal.
-            return False
-        join(h)
+    def polynomials(self) -> list:
+        """The entries as monic polynomials, in the order they joined."""
+        one = self.ring.field.one
+        return [_unpacked(entry.terms(one), self.order.packing, self.ring) for entry in self.entries]
+
+    def reduced_basis(self) -> list:
+        """The reduced monic basis of a complete state, sorted by lead."""
+        packing = self.order.packing
+        # Minimalize: drop elements whose lead is divisible by another survivor's.
+        keep = []
+        for entry in sorted(self.entries, key=attrgetter("lm")):
+            if any(packing.divides(k.lm, entry.lm) for k in keep):
+                continue
+            keep.append(entry)
+        # Tail-reduce each against the others.  Its lead stays, divisible by no
+        # other lead, so the results are monic and sorted like `keep`.
+        one, p = self.ring.field.one, self.ring.field.characteristic
+        reduced = []
+        for idx, entry in enumerate(keep):
+            others = keep[:idx] + keep[idx + 1 :]
+            terms = entry.terms(one)
+            if others:
+                terms = _reduce_prepared(terms, others, packing.guard, p, {})
+            reduced.append(_unpacked(terms, packing, self.ring))
+        return reduced
 
 
 def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP,
-               gb_prefix: int = 0, codim_at_least: int = None):
+               codim_at_least: int = None):
     """Reduced monic Groebner basis of the ideal generated by `generators`.
 
-    Runs the S-pair loop with at most `s_pair_cap` pairs taken from the queue;
-    pairs the Gebauer-Moeller update drops are never taken, so they do not
-    count.  When pairs remain past the cap it raises BudgetExceededError
-    rather than ever returning a wrong basis.
-
-    When the first `gb_prefix` generators already form a Groebner basis
-    under `order`, as a checkpoint's previous basis does, each later
-    generator joins by its remainder modulo them, and a zero remainder joins
-    not at all.  Pairs among the prefix are skipped, so extending a basis by
-    a few elements costs one reduction each plus their pairs.
+    A new `GroebnerState` takes the generators and is completed with at most
+    `s_pair_cap` pairs taken from the queue; pairs the Gebauer-Moeller
+    update drops are never taken, so they do not count.  When pairs remain
+    past the cap it raises BudgetExceededError rather than ever returning a
+    wrong basis.
 
     With `codim_at_least` = c the loop stops as soon as the heads found so
     far generate a monomial ideal of codimension at least c.  Those heads lie
@@ -330,42 +371,11 @@ def buchberger(generators, order: MonomialOrder = None, s_pair_cap: int = DEFAUL
     """
     if all(g.is_zero() for g in generators):
         return []
-    ring = generators[0].ring
-    order = order or ring.canonical_order
-    basis = _prepared(generators[:gb_prefix], order)
-    start = len(basis)
-    inputs = _prepared(generators[gb_prefix:], order)
-    if start:
-        # Reduction is linear: the monic input's remainder is its normal form made monic.
-        field, packing, divisors = ring.field, order.packing, {}
-        rems = [_reduce_prepared(entry.terms(field.one), basis, packing.guard,
-                                 field.characteristic, divisors) for entry in inputs]
-        inputs = [_Entry(rem, map(packing.unpack, rem), field, packing) for rem in rems if rem]
-    basis += inputs
-    if _pair_loop(basis, order, ring, s_pair_cap, start, codim_at_least):
-        return [_unpacked(entry.terms(ring.field.one), order.packing, ring) for entry in basis]
-    return _auto_reduce(basis, order, ring)
-
-
-def _auto_reduce(basis, order, ring):
-    packing = order.packing
-    # Minimalize: drop elements whose lead is divisible by another survivor's.
-    keep = []
-    for entry in sorted(basis, key=attrgetter("lm")):
-        if any(packing.divides(k.lm, entry.lm) for k in keep):
-            continue
-        keep.append(entry)
-    # Tail-reduce each against the others.  Its lead stays, divisible by no
-    # other lead, so the results are monic and sorted like `keep`.
-    one, p = ring.field.one, ring.field.characteristic
-    reduced = []
-    for idx, entry in enumerate(keep):
-        others = keep[:idx] + keep[idx + 1 :]
-        terms = entry.terms(one)
-        if others:
-            terms = _reduce_prepared(terms, others, packing.guard, p, {})
-        reduced.append(_unpacked(terms, packing, ring))
-    return reduced
+    state = GroebnerState(generators[0].ring, order)
+    state.add(generators)
+    if state.complete(s_pair_cap, codim_at_least):
+        return state.polynomials()
+    return state.reduced_basis()
 
 
 class Ideal:
@@ -488,24 +498,21 @@ def is_codim_at_least(c: int, ideal: Ideal, order: MonomialOrder = None,
                       max_reductions: int = CODIM_PROBE_REDUCTIONS):
     """Sound fast lower-bound test: True, or None when inconclusive.
 
-    A `buchberger` run on the generators, capped at `max_reductions` pairs
-    taken from the queue and stopped as soon as the heads found so far have
-    codimension at least c.  Those heads generate a monomial ideal inside
-    the initial ideal, so its codimension bounds codim(I) from below.  True
-    when the heads of the result reach c; None when they do not or the cap
-    ran out.  Never returns False.
+    A `GroebnerState` of the generators, completed with at most
+    `max_reductions` pairs taken from the queue and stopped as soon as the
+    heads found so far have codimension at least c.  Those heads generate a
+    monomial ideal inside the initial ideal, so its codimension bounds
+    codim(I) from below.  True when that stop fires; None when the basis
+    completes below c or the cap runs out.  Never returns False.
     """
     if c < 0:
         raise PolyError("codimension bound must be nonnegative")
-    if c == 0:
-        return True
-    order = order or ideal.ring.canonical_order
+    state = GroebnerState(ideal.ring, order)
+    state.add(ideal.generators)
     try:
-        basis = buchberger(ideal.generators, order, max_reductions, codim_at_least=c)
+        return True if state.complete(max_reductions, c) else None
     except BudgetExceededError:
         return None
-    heads = [g.lead_term(order)[0] for g in basis]
-    return True if monomial_ideal_codim(heads, ideal.ring.num_vars) >= c else None
 
 
 class RingPresentation:

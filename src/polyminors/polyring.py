@@ -640,7 +640,10 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            try:
+                tokens.append(("int", int(m.group(1)), m.start(1)))
+            except ValueError:  # longer than Python's int-from-string digit limit
+                raise ParseError("integer literal too long", m.start(1)) from None
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
         else:
@@ -749,7 +752,11 @@ class _Parser:
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse a polynomial from text in the given ring."""
-    return _Parser(text, ring).parse()
+    parser = _Parser(text, ring)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
 def random_polynomial(ring: PolyRing, degree: int, rng, terms: int = None, homogeneous: bool = False) -> Polynomial:

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and JSON determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -234,6 +235,17 @@ class TestReportContract:
         assert "dimension: 3" in out
 
 
+@pytest.fixture
+def default_int_digit_limit():
+    """Python's default limit on int <-> decimal string conversion, for this test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int <-> decimal string conversion")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         with pytest.raises(SystemExit):
@@ -281,3 +293,38 @@ class TestErrors:
         with pytest.raises(SystemExit) as info:
             main(["minors", matrix_file, "--size", "eel"])
         assert info.value.code == EXIT_ERROR
+
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "nested.pm"
+        path.write_text("ring: 101; x, y\nideal: " + "(" * 400 + "x" + ")" * 400 + "\n")
+        code = main(["gb-dim", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error:") and "nested too deeply" in captured.err
+
+    @pytest.mark.parametrize("command, block", [
+        (["gb-dim"], "ideal: x - {n}"),
+        (["regular-in-codim", "--n", "0"], "ideal: x - {n}"),
+        (["minors", "--size", "1"], "matrix: [[x, {n}]]"),
+    ])
+    def test_overlong_integer_is_a_parse_error(self, capsys, tmp_path, default_int_digit_limit,
+                                               command, block):
+        path = tmp_path / "long.pm"
+        path.write_text("ring: 0; x, y\n" + block.format(n="7" * 5000) + "\n")
+        code = main(command[:1] + [str(path)] + command[1:])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error:") and "integer literal too long" in captured.err
+
+    def test_a_crash_exits_as_an_error_with_its_traceback(self, capsys, tmp_path,
+                                                          default_int_digit_limit):
+        # The minor 2*A^2*x has an 8000-digit coefficient, past the limit on
+        # printing an int; a crash must not exit 1, which means false.
+        a = "9" * 4000
+        path = tmp_path / "huge.pm"
+        path.write_text(f"ring: 0; x, y\nideal: {a}*{a}*x^2 + y^2 - 1\n")
+        code = main(["--seed", "0", "regular-in-codim", str(path), "--n", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "ValueError" in captured.err

@@ -13,7 +13,9 @@ from polyminors import (
     GF,
     QQ,
     ChainComplexInput,
+    GroebnerState,
     Ideal,
+    LoopReport,
     MinorLoopConfig,
     PolyMatrix,
     PolyRing,
@@ -31,9 +33,10 @@ from polyminors import (
     regular_in_codimension,
     symbolic_rank,
 )
-from polyminors import fastcheck
+from polyminors import fastcheck, gbasis
 from polyminors.polylinalg import count_possible_minors, random_matrix
 from polyminors.polyring import PolyError
+from tests.conftest import SEC51_GENERATORS
 
 
 def take(gen, n):
@@ -359,6 +362,45 @@ class TestRegularInCodimension:
         report = regular_in_codimension(
             1, RingPresentation(I), MinorLoopConfig(), random.Random(0))
         assert report.result is False
+
+    def test_a_checkpoint_resumes_after_a_budget_failure(self, capsys, monkeypatch):
+        # The first checkpoint runs out of its 4 pairs.  The second one draws
+        # no new minor, resumes the same queue with 4 more pairs and proves
+        # the bound; restarting from the basis of I would fail again.
+        ring = PolyRing(GF(101), ["x", "y", "z", "w"])
+        I = Ideal([ring.parse("x^3 - y^2 + z*w"), ring.parse("x*w - y*z^2")], ring)
+        assert dim_quotient(I) == 2  # cached, so only checkpoints complete a state below
+        taken = []
+        spoly_terms, complete = gbasis._spoly_terms, GroebnerState.complete
+
+        def counted_spoly(*args):
+            taken[-1] += 1
+            return spoly_terms(*args)
+
+        def counted_complete(state, *args):
+            taken.append(0)
+            return complete(state, *args)
+
+        monkeypatch.setattr(gbasis, "_spoly_terms", counted_spoly)
+        monkeypatch.setattr(GroebnerState, "complete", counted_complete)
+        cfg = MinorLoopConfig(s_pair_cap=4, verbose=True)
+        report = regular_in_codimension(1, RingPresentation(I), cfg, random.Random(3))
+        assert (report.result, report.considered, report.computed) == (True, 9, 5)
+        assert report.dimension_history == [0]
+        log = capsys.readouterr().err
+        assert log.count("S-pair budget of 4 exceeded") == 1
+        assert "checkpoint considered = 9 computed = 5" in log
+        # The cap still bounds the pairs each checkpoint takes.
+        assert taken[0] == 4 and len(taken) == 2 and taken[1] <= 4
+
+    def test_budget_failure_in_the_ring_dimension_is_inconclusive(self, capsys):
+        # The basis of I itself needs more than 20 pairs: no minor is drawn.
+        ring = PolyRing(GF(101), [f"x{i}" for i in range(1, 8)])
+        I = Ideal([ring.parse(g) for g in SEC51_GENERATORS], ring)
+        cfg = MinorLoopConfig(s_pair_cap=20, verbose=True)
+        report = regular_in_codimension(1, RingPresentation(I), cfg, random.Random(0))
+        assert report == LoopReport(result=None)
+        assert "S-pair budget of 20 exceeded" in capsys.readouterr().err
 
     def test_early_exit_answers_under_a_zero_cap(self, capsys):
         # The drawn minor 1 is a constant head: the bound holds before any

@@ -12,6 +12,7 @@ from polyminors import (
     LEX,
     QQ,
     BudgetExceededError,
+    GroebnerState,
     Ideal,
     MonomialOrder,
     PolyError,
@@ -23,7 +24,7 @@ from polyminors import (
     is_unit_ideal,
     normal_form,
 )
-from polyminors.gbasis import minimum_vertex_cover, monomial_ideal_codim
+from polyminors.gbasis import DEFAULT_S_PAIR_CAP, minimum_vertex_cover, monomial_ideal_codim
 from polyminors.polyring import (
     ExponentOverflowError,
     identity_order,
@@ -123,15 +124,21 @@ class TestBuchberger:
                 assert normal_form(g, gb).is_zero()
 
     def test_extending_a_basis_matches_a_fresh_run(self):
-        # Skipping the pairs of a known Groebner basis must not change the
-        # reduced basis, which is unique.
+        # A complete state extended by more generators and completed again
+        # must reach the reduced basis of a fresh run, which is unique.
         rng = random.Random(7)
         for ideal in ideal_corpus():
             order = ideal.ring.canonical_order
             gb = ideal.groebner_basis(order)
             extra = random_ideal(ideal.ring, rng, count=2).generators
             fresh = buchberger(ideal.generators + extra, order)
-            assert buchberger(gb + extra, order, gb_prefix=len(gb)) == fresh
+            state = GroebnerState(ideal.ring, order)
+            state.add(gb)
+            assert state.complete(DEFAULT_S_PAIR_CAP) is False
+            assert state.reduced_basis() == gb
+            state.add(extra)
+            assert state.complete(DEFAULT_S_PAIR_CAP) is False
+            assert state.reduced_basis() == fresh
 
     @pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
     def test_exponent_overflow_raises(self, field):
@@ -195,8 +202,9 @@ class TestCodimStop:
         assert buchberger(gens) == [R.one()]
 
     def test_inputs_past_the_prefix_join_by_their_normal_forms(self):
-        # A checkpoint hands its new minors to buchberger unreduced; the
-        # result must be that of handing it their nonzero normal forms.
+        # A checkpoint adds its minors unreduced to a state seeded with a
+        # Groebner basis (the prefix); the stop and the entries must be those
+        # of adding their nonzero normal forms, and members join nothing.
         rng = random.Random(9)
         for ideal in ideal_corpus():
             ring = ideal.ring
@@ -207,11 +215,52 @@ class TestCodimStop:
             extra.append(members[0])
             reduced = [r for e in extra if (r := normal_form(e, gb, order))]
             for c in [None, *range(1, ring.num_vars + 2)]:
-                got = buchberger(gb + extra, order, gb_prefix=len(gb), codim_at_least=c)
-                assert got == buchberger(gb + reduced, order, gb_prefix=len(gb),
-                                         codim_at_least=c)
-                assert buchberger(gb + members, order, gb_prefix=len(gb),
-                                  codim_at_least=c) == gb
+                outcomes = []
+                for inputs in (extra, reduced, members):
+                    state = GroebnerState(ring, order)
+                    state.add(gb)
+                    state.add(inputs)
+                    outcomes.append((state.complete(DEFAULT_S_PAIR_CAP, c), state.polynomials()))
+                assert outcomes[0] == outcomes[1]
+                assert outcomes[2][1] == gb
+
+
+class TestGroebnerState:
+    def test_members_added_to_a_complete_state_join_nothing(self):
+        # No entry joins and no pair is queued, so even a zero cap completes.
+        rng = random.Random(11)
+        for ideal in ideal_corpus():
+            ring = ideal.ring
+            state = GroebnerState(ring)
+            state.add(ideal.generators)
+            assert state.complete(DEFAULT_S_PAIR_CAP) is False
+            entries, gb = state.polynomials(), state.reduced_basis()
+            multipliers = random_ideal(ring, rng, count=2).generators
+            state.add(ideal.generators + gb + [g * m for g in gb for m in multipliers])
+            assert state.polynomials() == entries
+            assert state.complete(0) is False
+            assert state.reduced_basis() == gb
+
+    def test_complete_resumes_after_a_budget_failure(self):
+        # Calls with caps 1, 2, 3, ..., each but the last raising, resume one
+        # queue and must end at the reduced basis of one uncapped run.
+        R = PolyRing(QQ, ["x", "y", "z"])
+        rng = random.Random(3)
+        cubics = Ideal([random_polynomial(R, 3, rng) for _ in range(4)], R)
+        failures = 0
+        for ideal in [cubics, *ideal_corpus()]:
+            state = GroebnerState(ideal.ring)
+            state.add(ideal.generators)
+            cap = 1
+            while True:
+                try:
+                    assert state.complete(cap) is False
+                    break
+                except BudgetExceededError:
+                    failures += 1
+                    cap += 1
+            assert state.reduced_basis() == buchberger(ideal.generators)
+        assert failures > 0
 
 
 class TestNormalForm:
