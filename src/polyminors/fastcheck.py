@@ -186,8 +186,12 @@ def is_rank_at_least(n: int, M: PolyMatrix, cfg: MinorLoopConfig = None, rng=Non
 
 
 def _with_modulus(presentation: RingPresentation, p: int) -> RingPresentation:
-    """Map the presentation's coefficients into F_p."""
+    """Map a presentation over the rationals into F_p, for a prime p."""
     src = presentation.ring
+    if src.field.characteristic:
+        raise PolyError(f"a modulus applies to a presentation over QQ, not over {src.field}")
+    if not isinstance(p, int) or p < 2:
+        raise PolyError(f"modulus {p!r} is not prime")
     target = PolyRing(GF(p), src.variables)
     gens = [
         target.from_terms((c, m) for m, c in g.terms.items())
@@ -206,6 +210,11 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
     exhausted or the S-pair budget ran out, and False only when every distinct
     submatrix was computed and the bound still fails on a complete Groebner
     basis.  The caller asserts equidimensionality.
+
+    With `cfg.modulus` = p the presentation, which must be over QQ, is mapped
+    to F_p and the whole loop runs there.  F_p can refute what QQ satisfies
+    (y^2 - x^3 - 101 is smooth over QQ and a cusp mod 101), so a modular run
+    that ends False reports None; a verbose run logs the F_p verdict.
 
     One `GroebnerState`, seeded with the defining ideal's basis, takes each
     nonzero minor as it is drawn.  Each checkpoint completes it, stopping
@@ -323,6 +332,10 @@ def regular_in_codimension(n: int, presentation: RingPresentation,
         result = False
     else:
         result = None
+    if cfg.modulus is not None:
+        cfg.log(f"regularInCodimension: verdict over GF({cfg.modulus}) = {result}")
+        if result is False:
+            result = None
     return LoopReport(
         result=result,
         considered=selector.considered,

@@ -8,7 +8,9 @@ and the checkpoints of `fastcheck.regular_in_codimension` all drive one.
 Inside the division and S-pair loops every monomial is one int from the
 order's ExponentPacking (see `polyring`): comparing ints compares monomials, a
 product is an add, and divisibility and exponent overflow are one guard-bit
-test each.  Polynomials enter and leave with exponent tuples.
+test each.  The pair update compares leads by their exponent words instead,
+where an lcm is a fieldwise max.  Polynomials enter and leave with exponent
+tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .polyring import (
     PolyError,
     Polynomial,
     PolyRing,
-    monomial_lcm,
 )
 
 DEFAULT_S_PAIR_CAP = 200_000
@@ -53,15 +54,17 @@ class _Entry:
     and `tail_c` hold the packed monomials below it and their coefficients.
     A packed m is divisible by the lead exactly when not (m - div) & guard,
     and a packed shift s times every term stays below MAX_EXPONENT exactly
-    when not (room - s) & guard.  `lead` and `mask` are the lead's exponent
-    tuple and support mask; `sugar` is the S-pair loop's degree bound.
+    when not (room - s) & guard; `room` comes from the packed terms, and
+    only the lead is unpacked, for its degree and support `mask`.  For the
+    pair update, `word` is the lead's exponent word (see ExponentPacking)
+    and `excess` is the S-pair loop's degree bound (its sugar) minus the
+    lead's degree.
     """
 
-    __slots__ = ("div", "lm", "tail_m", "tail_c", "room", "lead", "mask", "sugar")
+    __slots__ = ("div", "lm", "tail_m", "tail_c", "room", "word", "excess", "mask")
 
-    def __init__(self, terms: dict, monos, field, packing, sugar=None):
-        """From nonzero {packed monomial: coefficient} terms and their exponent tuples."""
-        monos = list(monos)
+    def __init__(self, terms: dict, field, packing, sugar: int = 0):
+        """From nonzero {packed monomial: coefficient} terms and their sugar."""
         lm = max(terms)
         inv = field.inv(terms[lm])
         p = field.characteristic
@@ -70,10 +73,11 @@ class _Entry:
         tail = [m for m in terms if m != lm]
         self.tail_m = tuple(tail)
         self.tail_c = tuple([terms[m] * inv % p for m in tail] if p else [terms[m] * inv for m in tail])
-        self.room = packing.room(monos)
-        self.lead = packing.unpack(lm)
-        self.mask = _support_mask(self.lead)
-        self.sugar = max(map(sum, monos)) if sugar is None else sugar
+        self.room = packing.packed_room(terms)
+        self.word = packing.word(lm)
+        lead = packing.unpack(lm)
+        self.excess = sugar - sum(lead)
+        self.mask = _support_mask(lead)
 
     def terms(self, one) -> dict:
         """{packed monomial: coefficient}, with `one` as the lead coefficient."""
@@ -151,7 +155,7 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = None) -> Polynomial
     if p.ring.num_vars != order.num_vars:
         raise PolyError("monomial length does not match order")
     packing = order.packing
-    prep = [_Entry({packing.pack(m): c for m, c in g.terms.items()}, g.terms, g.ring.field, packing)
+    prep = [_Entry({packing.pack(m): c for m, c in g.terms.items()}, g.ring.field, packing)
             for g in basis if g.terms]
     if not prep or p.is_zero():
         return p
@@ -192,6 +196,15 @@ class GroebnerState:
     divides its lcm and neither lcm(lead(i), lead(h)) nor lcm(lead(j),
     lead(h)) equals it.  Then h retires every useful entry whose lead its
     lead divides.  `supports` holds the minimal support masks of the leads.
+
+    The update works on the leads' exponent words (see ExponentPacking): an
+    lcm is `word_lcm`, a fieldwise max in a few int operations; a pair's
+    sugar is deg(lcm) + max(excess_g, excess_h), so one lcm keeps the least
+    excess and the first g with it; a pair is coprime when its lcm is the sum
+    of the words; and criteria M, F and B_k test divisibility with one guard
+    test on words, which sort in a Lex order.  Only a queued pair pays for
+    its lcm's degree and packed int, and the queue keeps (sugar, packed lcm,
+    i, j), so pairs leave in the order's own (sugar, lcm) order.
     """
 
     def __init__(self, ring: PolyRing, order: MonomialOrder = None):
@@ -201,7 +214,7 @@ class GroebnerState:
         self.ring, self.order = ring, order
         self.entries = []
         self.useful = []
-        self.live = {}  # (i, j) -> packed lcm, for pairs still queued
+        self.live = {}  # (i, j) -> lcm word, for pairs still queued
         self.queue = []  # (sugar, packed lcm, i, j); dropped pairs are skipped lazily
         self.divisors = {}  # shared by every reduction; the entries only grow at their end
         self.supports = []
@@ -223,56 +236,60 @@ class GroebnerState:
             inputs = [(rem, map(packing.unpack, rem)) for rem in rems]
         for terms, monos in inputs:
             if terms:
-                self._join(_Entry(terms, monos, field, packing))
+                self._join(_Entry(terms, field, packing, max(map(sum, monos))))
 
     def _join(self, entry_h) -> bool:
         """Append an entry and update the pairs; True when its lead brings a new minimal support."""
         entries, live, packing = self.entries, self.live, self.order.packing
-        pack, guard, offset = packing.pack, packing.guard, packing.offset
+        guard, word_lcm = packing.guard, packing.word_lcm
         h = len(entries)
         entries.append(entry_h)
-        lead_h, mask_h, div_h = entry_h.lead, entry_h.mask, entry_h.div
-        deg_h = sum(lead_h)
-        # packed lcm -> [sugar, i, some pair with it is coprime]
+        word_h, excess_h = entry_h.word, entry_h.excess
+        # lcm word -> [least max(excess_g, excess_h), its first g, some pair
+        # with it is coprime].  A pair's sugar is deg(lcm) + max(excess_g,
+        # excess_h), so on one lcm the least excess is the least sugar.
         by_lcm = {}
         for g in self.useful:
             entry_g = entries[g]
-            lead_g = entry_g.lead
-            l = monomial_lcm(lead_g, lead_h)
-            deg_l = sum(l)
-            pair_sugar = max(entry_g.sugar + deg_l - sum(lead_g), entry_h.sugar + deg_l - deg_h)
-            coprime = not entry_g.mask & mask_h
-            key = pack(l)
-            seen = by_lcm.get(key)
+            word_g, excess = entry_g.word, entry_g.excess
+            l = word_lcm(word_g, word_h)
+            if excess < excess_h:
+                excess = excess_h
+            # The lcm is the sum exactly when no field is nonzero in both leads.
+            coprime = l == word_g + word_h
+            seen = by_lcm.get(l)
             if seen is None:
-                by_lcm[key] = [pair_sugar, g, coprime]
+                by_lcm[l] = [excess, g, coprime]
             else:
-                if pair_sugar < seen[0]:
-                    seen[0], seen[1] = pair_sugar, g
+                if excess < seen[0]:
+                    seen[0], seen[1] = excess, g
                 seen[2] = seen[2] or coprime
         # Criterion B_k on the queued pairs.
         for key, l in list(live.items()):
-            if (l - div_h) & guard:
+            if (l - word_h) & guard:
                 continue
             i, j = key
-            if (pack(monomial_lcm(entries[i].lead, lead_h)) != l
-                    and pack(monomial_lcm(entries[j].lead, lead_h)) != l):
+            if word_lcm(entries[i].word, word_h) != l and word_lcm(entries[j].word, word_h) != l:
                 del live[key]
-        # Criteria M and F.  The order extends divisibility, so ascending
-        # lcms meet every divisor of an lcm before the lcm itself.
-        minimal = []  # l - offset for each minimal lcm l
+        # Criteria M and F.  Word order is a Lex order, which extends
+        # divisibility, so ascending words meet every divisor of an lcm
+        # before the lcm itself.  Only queued pairs pay for the degree and
+        # the order's packed lcm.
+        minimal = []
         for l in sorted(by_lcm):
             for d in minimal:
                 if not (l - d) & guard:
                     break
             else:
-                minimal.append(l - offset)
-                pair_sugar, g, coprime = by_lcm[l]
+                minimal.append(l)
+                excess, g, coprime = by_lcm[l]
                 if not coprime:
                     live[(g, h)] = l
-                    heapq.heappush(self.queue, (pair_sugar, l, g, h))
-        self.useful = [g for g in self.useful if (entries[g].lm - div_h) & guard]
+                    degree, packed = packing.from_word(l)
+                    heapq.heappush(self.queue, (degree + excess, packed, g, h))
+        self.useful = [g for g in self.useful if (entries[g].word - word_h) & guard]
         self.useful.append(h)
+        mask_h = entry_h.mask
         if any(not t & ~mask_h for t in self.supports):
             return False
         self.supports = [t for t in self.supports if mask_h & ~t] + [mask_h]
@@ -317,7 +334,7 @@ class GroebnerState:
                                             field.characteristic))
             if not rem:
                 continue
-            entry = _Entry(rem, map(packing.unpack, rem), field, packing, pair_sugar)
+            entry = _Entry(rem, field, packing, pair_sugar)
             if (self._join(entry) and codim_at_least is not None
                     and self.codim() >= codim_at_least):
                 return True

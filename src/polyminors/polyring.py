@@ -17,7 +17,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import lcm
 from operator import add, mul, sub
 from typing import Iterable
@@ -178,6 +178,7 @@ class MonomialOrder:
 # Each variable gets a field of 16 exponent bits plus the guard bit above them.
 _FIELD_BITS = MAX_EXPONENT.bit_length()
 _LOW_BITS = MAX_EXPONENT - 1
+_GUARD_SHIFT = _FIELD_BITS - 1
 
 
 class ExponentPacking:
@@ -199,12 +200,21 @@ class ExponentPacking:
     packed product of two such monomials has an exponent of MAX_EXPONENT or
     more exactly when it does not divide (MAX_EXPONENT - 1, ...), which gives
     `room`.  The division loops inline both tests.
+
+    An exponent word is the plain sum(e[v] << shift[v]) over the same fields,
+    with zero guard bits and no degree field.  Its int order is a Lex order,
+    so it too extends divisibility; a divides b exactly when not (b - a) &
+    guard, and `word_lcm` takes a fieldwise max without unpacking.  The
+    Groebner pair update works on words and packs only the lcms it keeps.
     """
 
-    __slots__ = ("weights", "offset", "guard", "_top", "_shifts", "_flip")
+    __slots__ = ("weights", "offset", "guard", "_top", "_shifts", "_flip", "_degree_shift",
+                 "_word_mask")
 
     def __init__(self, order: MonomialOrder):
         n = order.num_vars
+        self._degree_shift = _FIELD_BITS * n
+        self._word_mask = (1 << self._degree_shift) - 1
         ones = sum(1 << (_FIELD_BITS * k) for k in range(n))
         shifts = [0] * n
         for k, v in enumerate(order.permutation):
@@ -213,7 +223,7 @@ class ExponentPacking:
             self.weights = [1 << s for s in shifts]
             self.offset = self._flip = 0
         else:
-            self.weights = [(1 << (_FIELD_BITS * n)) - (1 << s) for s in shifts]
+            self.weights = [(1 << self._degree_shift) - (1 << s) for s in shifts]
             # With the offset added, field k holds MAX_EXPONENT - 1 minus the exponent.
             self.offset = _LOW_BITS * ones
             self._flip = _LOW_BITS
@@ -241,6 +251,35 @@ class ExponentPacking:
         """
         return self._top - self.pack(_max_exponents(monos))
 
+    def packed_room(self, packed) -> int:
+        """`room` of a polynomial given by its packed monomials."""
+        top = reduce(self.word_lcm, map(self.word, packed), 0)
+        return self._top - self.from_word(top)[1]
+
+    def word(self, packed: int) -> int:
+        """The exponent word of a packed monomial.
+
+        Lex packs the word itself.  GRevLex packs degree << (17 * n) minus the
+        word, and the word is below 1 << (17 * n).
+        """
+        return -packed & self._word_mask if self._flip else packed
+
+    def word_lcm(self, a: int, b: int) -> int:
+        """The lcm of two exponent words: a fieldwise max in a few int operations.
+
+        t = ((a | guard) - b) & guard keeps the guard bit of each field where
+        a >= b, with no borrow between fields; t - (t >> 16) fills those fields'
+        exponent bits, and that mask takes a there and b elsewhere.
+        """
+        guard = self.guard
+        t = ((a | guard) - b) & guard
+        return b ^ ((a ^ b) & (t - (t >> _GUARD_SHIFT)))
+
+    def from_word(self, word: int) -> tuple:
+        """(total degree, packed monomial) of an exponent word."""
+        degree = sum([(word >> s) & _LOW_BITS for s in self._shifts])
+        return degree, ((degree << self._degree_shift) - word if self._flip else word)
+
 
 def identity_order(kind: str, num_vars: int) -> MonomialOrder:
     return MonomialOrder(kind, tuple(range(num_vars)))
@@ -262,10 +301,6 @@ def _over_common_denominator(terms):
     """(d, [(monomial, integer numerator)]) with each coefficient = numerator / d."""
     d = lcm(*[c.denominator for c in terms.values()])
     return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
-
-
-def monomial_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple([x if x > y else y for x, y in zip(a, b)])
 
 
 class PolyRing:

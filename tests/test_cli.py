@@ -164,6 +164,41 @@ class TestRegularInCodim:
                        "considered": 0, "computed": 0, "dimension": -1,
                        "generators": []}
 
+    @pytest.mark.parametrize("modulus", ["103", "0"])
+    def test_modulus_rejects_a_prime_field_presentation(self, capsys, tmp_path, modulus):
+        # Over GF(101) the curve has a node at (1, 0): plain runs answer false.
+        # A modulus would copy residues into another field, or lift them to QQ.
+        path = tmp_path / "fp.pm"
+        path.write_text("ring: 101; x, y\nideal: y^2 - x^3 + 3*x - 2\n")
+        argv = ["--seed", "0", "--format", "json", "regular-in-codim", str(path), "--n", "1"]
+        code, rep = run_json(capsys, argv)
+        assert (code, rep["result"]) == (EXIT_FALSE, False)
+        code = main(argv + ["--modulus", modulus])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("modulus", ["4", "1", "-7"])
+    def test_modulus_must_be_prime(self, capsys, tmp_path, modulus):
+        path = tmp_path / "sphere.pm"
+        path.write_text("ring: 0; x, y, z\nideal: x^2 + y^2 + z^2 - 1\n")
+        code = main(["--seed", "0", "--format", "json", "regular-in-codim", str(path),
+                     "--n", "1", "--modulus", modulus])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err.startswith("error: ")
+
+    def test_modular_run_never_answers_false(self, capsys, tmp_path):
+        # Smooth over QQ, the cusp y^2 = x^3 mod 101.
+        path = tmp_path / "cusp.pm"
+        path.write_text("ring: 0; x, y\nideal: y^2 - x^3 - 101\n")
+        argv = ["--seed", "0", "--format", "json", "regular-in-codim", str(path), "--n", "1"]
+        code, rep = run_json(capsys, argv)
+        assert (code, rep["result"]) == (EXIT_TRUE, True)
+        code, rep = run_json(capsys, argv + ["--modulus", "101"])
+        assert (code, rep["result"]) == (EXIT_INCONCLUSIVE, None)
+
     def test_verbose_goes_to_stderr(self, capsys, curve_file):
         code = main(["--seed", "0", "--format", "json", "regular-in-codim",
                      curve_file, "--n", "1", "--verbose"])

@@ -328,6 +328,34 @@ class TestRegularInCodimension:
         report = regular_in_codimension(1, RingPresentation(I), cfg, random.Random(0))
         assert report.result is True
 
+    def test_modulus_needs_a_rational_presentation_and_a_prime(self):
+        ring = PolyRing(GF(101), ["x", "y"])
+        I = Ideal([ring.parse("y^2 - x^3 + 3*x - 2")], ring)
+        for p in (103, 0):
+            with pytest.raises(PolyError, match="over QQ"):
+                regular_in_codimension(1, RingPresentation(I), MinorLoopConfig(modulus=p),
+                                       random.Random(0))
+        ring = PolyRing(QQ, ["x", "y"])
+        I = Ideal([ring.parse("y^2 - x^3 - 1")], ring)
+        for p in (4, 1, 0, -7):
+            with pytest.raises(PolyError, match="prime"):
+                regular_in_codimension(1, RingPresentation(I), MinorLoopConfig(modulus=p),
+                                       random.Random(0))
+
+    def test_modular_false_is_inconclusive(self, capsys):
+        # y^2 - x^3 - 101 is smooth over QQ and the cusp y^2 = x^3 mod 101.
+        ring = PolyRing(QQ, ["x", "y"])
+        I = Ideal([ring.parse("y^2 - x^3 - 101")], ring)
+        report = regular_in_codimension(1, RingPresentation(I), MinorLoopConfig(),
+                                        random.Random(0))
+        assert report.result is True
+        cfg = MinorLoopConfig(modulus=101, verbose=True)
+        report = regular_in_codimension(1, RingPresentation(I), cfg, random.Random(0))
+        assert report.result is None
+        log = capsys.readouterr().err
+        assert "regularInCodimension: verdict over GF(101) = False" in log
+        assert "regularInCodimension: final dimension = 0" in log
+
     def test_verbose_log_format(self, curve_ideal, capsys):
         cfg = MinorLoopConfig(verbose=True)
         regular_in_codimension(1, RingPresentation(curve_ideal), cfg, random.Random(0))

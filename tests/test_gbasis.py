@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations
-from operator import sub
+from operator import le, sub
 
 import pytest
 
@@ -28,7 +28,6 @@ from polyminors.gbasis import DEFAULT_S_PAIR_CAP, minimum_vertex_cover, monomial
 from polyminors.polyring import (
     ExponentOverflowError,
     identity_order,
-    monomial_lcm,
     random_polynomial,
 )
 
@@ -36,7 +35,7 @@ from polyminors.polyring import (
 def spoly(f, g, order):
     lf, cf = f.lead_term(order)
     lg, cg = g.lead_term(order)
-    l = monomial_lcm(lf, lg)
+    l = tuple(map(max, lf, lg))
     ring = f.ring
     mf = ring.from_terms([(ring.field.inv(cf), tuple(map(sub, l, lf)))])
     mg = ring.from_terms([(ring.field.inv(cg), tuple(map(sub, l, lg)))])
@@ -262,6 +261,82 @@ class TestGroebnerState:
             assert state.reduced_basis() == buchberger(ideal.generators)
         assert failures > 0
 
+
+    def test_pair_update_matches_a_tuple_reference(self):
+        # After every join the queued pairs, their sugars and lcms equal those
+        # of the Gebauer-Moeller update replayed on exponent tuples.
+        rng = random.Random(5)
+        R = PolyRing(GF(101), ["x", "y", "z"])
+        ideals = [random_ideal(R, rng, count=4, degree=3) for _ in range(4)] + ideal_corpus()
+        joins = 0
+        for ideal in ideals:
+            n = ideal.ring.num_vars
+            orders = (identity_order(GREVLEX, n), MonomialOrder(LEX, tuple(reversed(range(n)))))
+            for order in orders:
+                state = _CheckedState(ideal.ring, order)
+                state.add(ideal.generators)
+                state.complete(DEFAULT_S_PAIR_CAP)
+                joins += len(state.entries)
+        assert joins > 300
+
+
+class _CheckedState(GroebnerState):
+    """A state whose every pair update is checked against a tuple reference.
+
+    Between joins `complete` only takes pairs, in ascending (sugar, lcm), so a
+    joining remainder's sugar is that of the last pair taken since the last
+    join; an input's is its total degree.
+    """
+
+    def __init__(self, ring, order):
+        super().__init__(ring, order)
+        self.leads, self.sugars, self.expected, self.ref_useful = [], [], {}, []
+
+    def _join(self, entry):
+        unpack = self.order.packing.unpack
+        live = {k: v for k, v in self.expected.items() if k in self.live}
+        taken = [sugar for k, (sugar, _) in self.expected.items() if k not in live]
+        if taken:
+            sugar = max(taken)
+        else:
+            sugar = max(sum(unpack(m)) for m in (entry.lm, *entry.tail_m))
+        new = super()._join(entry)
+        self.expected = _reference_update(self.leads, self.sugars, self.ref_useful, live,
+                                          unpack(entry.lm), sugar)
+        queued = {(i, j): (s, unpack(l)) for s, l, i, j in self.queue if (i, j) in self.live}
+        assert queued == self.expected
+        return new
+
+
+def _reference_update(leads, sugars, useful, live, lead_h, sugar_h):
+    """The Gebauer-Moeller update on exponent tuples: {(i, j): (sugar, lcm)}."""
+    def divides(a, b):
+        return all(map(le, a, b))
+
+    def lcm(a, b):
+        return tuple(map(max, a, b))
+
+    h = len(leads)
+    leads.append(lead_h)
+    sugars.append(sugar_h)
+    candidates = {}  # lcm -> [least sugar, its first g, coprime]
+    for g in useful:
+        l = lcm(leads[g], lead_h)
+        sugar = max(sugars[g] - sum(leads[g]), sugar_h - sum(lead_h)) + sum(l)
+        coprime = not any(map(min, leads[g], lead_h))
+        seen = candidates.setdefault(l, [sugar, g, coprime])
+        if sugar < seen[0]:
+            seen[0], seen[1] = sugar, g
+        seen[2] = seen[2] or coprime
+    for (i, j), (_, l) in list(live.items()):
+        if divides(lead_h, l) and lcm(leads[i], lead_h) != l and lcm(leads[j], lead_h) != l:
+            del live[(i, j)]
+    for l, (sugar, g, coprime) in candidates.items():
+        minimal = not any(d != l and divides(d, l) for d in candidates)
+        if minimal and not coprime:
+            live[(g, h)] = (sugar, l)
+    useful[:] = [g for g in useful if not divides(lead_h, leads[g])] + [h]
+    return live
 
 class TestNormalForm:
     def test_remainder_not_divisible(self):

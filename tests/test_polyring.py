@@ -1,5 +1,6 @@
 """Fields, monomial orders, polynomial arithmetic, and the parser."""
 
+import itertools
 import random
 from fractions import Fraction
 from operator import add, le, sub
@@ -198,6 +199,33 @@ def overflowing(a, b):
     return any(x + y >= MAX_EXPONENT for x, y in zip(a, b))
 
 
+def check_words(order, a, b):
+    """Exponent words of a and b against the tuple reference under the order."""
+    packing = order.packing
+    pa, pb = packing.pack(a), packing.pack(b)
+    wa, wb = packing.word(pa), packing.word(pb)
+    lcm = tuple(map(max, a, b))
+    word = packing.word_lcm(wa, wb)
+    assert word == packing.word_lcm(wb, wa) == packing.word(packing.pack(lcm))
+    assert packing.from_word(word) == (sum(lcm), packing.pack(lcm))
+    assert (not (wb - wa) & packing.guard) == packing.divides(pa, pb)
+    if packing.divides(pa, pb):
+        assert wa <= wb  # word order extends divisibility
+    assert (word == wa + wb) == (not any(map(min, a, b)))  # coprime leads
+    assert packing.packed_room([pa, pb]) == packing.room([a, b])
+
+
+def word_cases():
+    """(order, a, b) whose exponents are often 0 or MAX_EXPONENT - 1."""
+    exponent = st.one_of(st.sampled_from([0, 1, MAX_EXPONENT - 1]),
+                         st.integers(0, MAX_EXPONENT - 1))
+
+    def for_length(n):
+        mono = st.tuples(*[exponent] * n)
+        return st.tuples(orders(n), mono, mono)
+    return st.integers(1, 7).flatmap(for_length)
+
+
 class TestExponentPacking:
     @given(packing_cases(2))
     def test_int_comparison_is_the_order(self, case):
@@ -241,6 +269,25 @@ class TestExponentPacking:
         packing = order.packing
         fits = not (packing.room([a, b]) - packing.pack(shift)) & packing.guard
         assert fits == (not overflowing(shift, a) and not overflowing(shift, b))
+
+
+    @given(word_cases())
+    def test_word_lcm_degree_and_packing(self, case):
+        check_words(*case)
+
+    def test_words_at_the_field_limits(self):
+        # Lead degree sums past 2^17 and fields at 0 and MAX_EXPONENT - 1,
+        # under every Lex and GRevLex permutation of four variables.
+        top = MAX_EXPONENT - 1
+        monos = [(top, top, top, top), (0, top, 5, top), (top, 0, 0, 1), (1, 0, top, 0),
+                 (0, 0, 0, 0), (top, 1, top, 0)]
+        assert sum(monos[0]) > 1 << 17
+        for perm in itertools.permutations(range(4)):
+            for kind in (LEX, GREVLEX):
+                order = MonomialOrder(kind, perm)
+                for a in monos:
+                    for b in monos:
+                        check_words(order, a, b)
 
 
 class TestArithmetic:
