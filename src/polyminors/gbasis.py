@@ -19,12 +19,11 @@ import heapq
 from operator import attrgetter
 
 from .polyring import (
-    MAX_EXPONENT,
-    ExponentOverflowError,
     MonomialOrder,
     PolyError,
     Polynomial,
     PolyRing,
+    exponent_overflow_error,
 )
 
 DEFAULT_S_PAIR_CAP = 200_000
@@ -41,10 +40,6 @@ def _support_mask(mono: tuple) -> int:
         if e:
             mask |= 1 << i
     return mask
-
-
-def _overflow():
-    return ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
 
 
 class _Entry:
@@ -128,7 +123,7 @@ def _reduce_prepared(terms: dict, prep, guard: int, p: int, divisors: dict) -> d
         # The lead of g times shift cancels m; subtract c * shift * tail.
         shift = m - g.lm
         if (g.room - shift) & guard:
-            raise _overflow()
+            raise exponent_overflow_error()
         for gm, gc in zip(g.tail_m, g.tail_c):
             t = shift + gm
             old = get(t)
@@ -169,7 +164,7 @@ def _spoly_terms(f, g, lcm: int, guard: int, p: int) -> dict:
     the packed lcm `lcm`.  The leads cancel, so only the tails are shifted."""
     sf, sg = lcm - f.lm, lcm - g.lm
     if (f.room - sf) & guard or (g.room - sg) & guard:
-        raise _overflow()
+        raise exponent_overflow_error()
     acc = {sf + m: c for m, c in zip(f.tail_m, f.tail_c)}
     get = acc.get
     for m, c in zip(g.tail_m, g.tail_c):

@@ -9,12 +9,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .polyring import (
+    LEX,
     MAX_EXPONENT,
-    ExponentOverflowError,
     PolyError,
     Polynomial,
     PolyRing,
     _max_exponents,
+    exponent_overflow_error,
+    identity_order,
 )
 
 DET_BAREISS = "bareiss"
@@ -52,6 +54,25 @@ class SubmatrixChoice:
     def key(self):
         """Canonical dedup key: sorted row and column index tuples."""
         return (tuple(sorted(self.rows)), tuple(sorted(self.cols)))
+
+
+def _packed_line(packing, entries, p):
+    """(scale, [(top word, [(word, int coefficient)])]) of a matrix row or column.
+
+    Words are `packing`'s, a Lex order's, and each entry's top word holds its
+    largest exponent per variable.  Over QQ, scale is the common denominator
+    of the line's coefficients and the ints are numerators over it; over F_p
+    it is 1.
+    """
+    pack = packing.pack
+    scale = 1 if p else math.lcm(*[c.denominator for e in entries for c in e.terms.values()])
+    return scale, [
+        (
+            pack(_max_exponents(e.terms)) if e.terms else 0,
+            [(pack(m), c if p else c.numerator * (scale // c.denominator)) for m, c in e.terms.items()],
+        )
+        for e in entries
+    ]
 
 
 class PolyMatrix:
@@ -110,18 +131,48 @@ class PolyMatrix:
         return [[e.evaluate(point) for e in row] for row in self.entries]
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The exact matrix product.
+
+        Each output entry sums its term products in one dict keyed by packed
+        Lex exponent words, where the sum of two words is the word of the
+        product, with int coefficients: residues over F_p, and over QQ
+        numerators over the common denominator of self's row and of other's
+        column, divided once per output term.  Only nonzero output terms are
+        unpacked.  A product of two nonzero entries with an exponent above
+        MAX_EXPONENT - 1 raises ExponentOverflowError, as the Polynomial
+        product does.
+        """
         if self.ncols != other.nrows:
             raise MatrixShapeError("incompatible shapes for product")
+        ring = self.ring
+        p = ring.field.characteristic
+        packing = identity_order(LEX, ring.num_vars).packing
+        guard, unpack = packing.guard, packing.unpack
+        cols = [_packed_line(packing, col, p) for col in zip(*other.entries)]
         rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = self.ring.zero()
-                for k in range(self.ncols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix(self.ring, rows)
+        for row in self.entries:
+            row_scale, row = _packed_line(packing, row, p)
+            out = []
+            for col_scale, col in cols:
+                acc = defaultdict(int)
+                for (top_a, a), (top_b, b) in zip(row, col):
+                    if not (a and b):
+                        continue
+                    # Fields hold exponents below MAX_EXPONENT, so a sum cannot
+                    # carry past its field's guard bit.
+                    if (top_a + top_b) & guard:
+                        raise exponent_overflow_error()
+                    for wa, ca in a:
+                        for wb, cb in b:
+                            acc[wa + wb] += ca * cb
+                if p:
+                    terms = {unpack(w): r for w, c in acc.items() if (r := c % p)}
+                else:
+                    d = row_scale * col_scale
+                    terms = {unpack(w): Fraction(c, d) for w, c in acc.items() if c}
+                out.append(Polynomial(ring, terms))
+            rows.append(out)
+        return PolyMatrix(ring, rows)
 
     def __str__(self):
         return "[" + ",\n ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
@@ -342,7 +393,7 @@ def _check_minor_exponents(k: int, M: PolyMatrix):
     maxima = [_max_exponents([m for e in row for m in e.terms]) or [0] * n for row in M.entries]
     for column in zip(*maxima):
         if sum(sorted(column)[-k:]) >= MAX_EXPONENT:
-            raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+            raise exponent_overflow_error()
 
 
 def numeric_rank(grid, field):

@@ -40,6 +40,10 @@ class ExponentOverflowError(PolyError):
     pass
 
 
+def exponent_overflow_error() -> ExponentOverflowError:
+    return ExponentOverflowError(f"exponent above {MAX_EXPONENT - 1}")
+
+
 class ParseError(PolyError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
@@ -353,7 +357,7 @@ class PolyRing:
                 if not isinstance(e, int) or e < 0:
                     raise PolyError(f"exponent {e!r} is not a nonnegative integer")
                 if e >= MAX_EXPONENT:
-                    raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+                    raise exponent_overflow_error()
             c = self.field.add(acc.get(mono, self.field.zero), coeff)
             if c:
                 acc[mono] = c
@@ -472,7 +476,7 @@ class Polynomial:
         # A product's largest exponent in variable v is the sum of the
         # operands' largest exponents in v, so one test covers every pair.
         if max(map(add, _max_exponents(a), _max_exponents(b)), default=0) >= MAX_EXPONENT:
-            raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+            raise exponent_overflow_error()
         p = self.ring.field.characteristic
         if p:
             a_items, b_items = a.items(), list(b.items())
@@ -584,7 +588,7 @@ class Polynomial:
                 raise PolyError("inexact polynomial division")
             qm = m - dm
             if (room - qm) & guard:
-                raise ExponentOverflowError(f"exponent exceeds {MAX_EXPONENT}")
+                raise exponent_overflow_error()
             qc = c * dc_inv % p if p else c * dc_inv
             quot[qm] = qc
             # The divisor's lead term cancels m.
@@ -661,29 +665,26 @@ def _coeff_str(c) -> str:
     return str(int(c))
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+# One match per token, with its leading whitespace; the last group catches
+# any other character.  Only trailing whitespace is left unmatched.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S))")
+_TOKEN_KINDS = (None, "int", "name", "op")
 
 
 def _tokenize(text: str):
+    """(kind, value, position) tokens, ending with ("end", None, len(text))."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group(1) is not None:
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
+        value = m.group(group)
+        if group == 1:
             try:
-                tokens.append(("int", int(m.group(1)), m.start(1)))
+                value = int(value)
             except ValueError:  # longer than Python's int-from-string digit limit
                 raise ParseError("integer literal too long", m.start(1)) from None
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+        tokens.append((_TOKEN_KINDS[group], value, m.start(group)))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -695,6 +696,11 @@ class _Parser:
     term   := factor ('*' factor)*
     factor := coefficient | variable ('^' uint)? | '(' expr ')'
     coefficient := int ('/' uint)?
+
+    `expr` adds each term into one {exponent tuple: coefficient} dict in
+    place.  `term` multiplies a run of coefficients and variables into one
+    exponent list and one coefficient; only a parenthesised factor goes
+    through Polynomial arithmetic.
     """
 
     def __init__(self, text: str, ring: PolyRing):
@@ -716,73 +722,120 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
 
     def parse(self) -> Polynomial:
-        p = self.expr()
+        terms = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {value!r}", pos)
-        return p
+        return Polynomial(self.ring, terms)
 
-    def expr(self) -> Polynomial:
-        sign = 1
+    def expr(self) -> dict:
+        p = self.ring.field.characteristic
+        acc = {}
+        get = acc.get
         kind, value, _ = self.peek()
+        negate = False
         if kind == "op" and value in "+-":
             self.next()
-            sign = -1 if value == "-" else 1
-        p = self.term().scalar_mul(sign)
+            negate = value == "-"
         while True:
+            for m, c in self.term():
+                s = get(m, 0) - c if negate else get(m, 0) + c
+                if p:
+                    s %= p
+                if s:
+                    acc[m] = s
+                else:
+                    # c is nonzero, so a zero sum means m was already a term.
+                    del acc[m]
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                q = self.term()
-                p = p + q if value == "+" else p - q
-            else:
-                return p
+            if kind != "op" or value not in "+-":
+                return acc
+            self.next()
+            negate = value == "-"
 
-    def term(self) -> Polynomial:
-        p = self.factor()
+    def term(self):
+        """The (exponent tuple, nonzero coefficient) pairs of a product.
+
+        Each factor is checked against the exponent limit as it is read, and
+        none is once the product is zero, exactly as a left-to-right chain of
+        Polynomial products would: `top` holds the product's largest exponent
+        per variable, the sum of its factors' largest exponents.
+        """
+        ring = self.ring
+        field = ring.field
+        p = field.characteristic
+        tokens = self.tokens
+        mono = [0] * ring.num_vars
+        top = list(mono)
+        coef = 1
+        poly = None  # the product of the parenthesised factors so far
+        i = self.i
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.next()
-                p = p * self.factor()
+            kind, value, pos = tokens[i]
+            i += 1
+            if kind == "int":
+                kind, op, _ = tokens[i]
+                if kind == "op" and op == "/":
+                    kind, den, pos = tokens[i + 1]
+                    i += 2
+                    if kind != "int":
+                        raise ParseError("expected denominator", pos)
+                    if den == 0:
+                        raise ParseError("zero denominator", pos)
+                    value = field.coerce(Fraction(value, den))
+                if coef:
+                    coef = coef * value % p if p else coef * value
+            elif kind == "name":
+                idx = ring._var_index.get(value)
+                if idx is None:
+                    raise ParseError(f"unknown variable {value!r}", pos)
+                kind, op, _ = tokens[i]
+                e = 1
+                if kind == "op" and op == "^":
+                    kind, e, pos = tokens[i + 1]
+                    i += 2
+                    if kind != "int":
+                        raise ParseError("expected exponent", pos)
+                    if e >= MAX_EXPONENT:
+                        raise ParseError(f"exponent above {MAX_EXPONENT - 1}", pos)
+                if coef:
+                    if top[idx] + e >= MAX_EXPONENT:
+                        raise exponent_overflow_error()
+                    top[idx] += e
+                    mono[idx] += e
+            elif kind == "op" and value == "(":
+                self.i = i - 1
+                q = self.parenthesised()
+                i = self.i
+                if not q:
+                    coef = 0
+                elif coef:
+                    top = list(map(add, top, _max_exponents(q.terms)))
+                    if max(top, default=0) >= MAX_EXPONENT:
+                        raise exponent_overflow_error()
+                    poly = q if poly is None else poly * q
             else:
-                return p
+                raise ParseError(f"unexpected token {value!r}", pos)
+            kind, op, _ = tokens[i]
+            if kind != "op" or op != "*":
+                break
+            i += 1
+        self.i = i
+        if not coef:
+            return ()
+        if not p:
+            coef = Fraction(coef)
+        if poly is None:
+            return ((tuple(mono), coef),)
+        return [(tuple(map(add, m, mono)), field.mul(c, coef)) for m, c in poly.terms.items()]
 
-    def factor(self) -> Polynomial:
-        kind, value, pos = self.next()
-        if kind == "int":
-            num = value
-            kind2, value2, _ = self.peek()
-            if kind2 == "op" and value2 == "/":
-                self.next()
-                kind3, den, pos3 = self.next()
-                if kind3 != "int":
-                    raise ParseError("expected denominator", pos3)
-                if den == 0:
-                    raise ParseError("zero denominator", pos3)
-                if self.ring.field.characteristic == 0:
-                    return self.ring.constant(Fraction(num, den))
-                return self.ring.constant(self.ring.field.coerce(Fraction(num, den)))
-            return self.ring.constant(num)
-        if kind == "name":
-            idx = self.ring._var_index.get(value)
-            if idx is None:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            kind2, value2, _ = self.peek()
-            if kind2 == "op" and value2 == "^":
-                self.next()
-                kind3, exp, pos3 = self.next()
-                if kind3 != "int":
-                    raise ParseError("expected exponent", pos3)
-                if exp >= MAX_EXPONENT:
-                    raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos3)
-                return self.ring.var(idx) ** exp
-            return self.ring.var(idx)
-        if kind == "op" and value == "(":
-            p = self.expr()
-            self.expect_op(")")
-            return p
-        raise ParseError(f"unexpected token {value!r}", pos)
+    def parenthesised(self) -> Polynomial:
+        # Its own frame, so each nesting level costs three (expr, term and
+        # this), which sets the depth at which parsing gives up.
+        self.next()
+        terms = self.expr()
+        self.expect_op(")")
+        return Polynomial(self.ring, terms)
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:

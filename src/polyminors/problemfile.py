@@ -14,6 +14,7 @@ labelled d1, d2, ... in order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .gbasis import Ideal
@@ -63,18 +64,17 @@ def _split_top_level(text: str, sep: str):
     """Split on sep outside any bracket nesting."""
     parts = []
     depth = 0
-    buf = []
-    for ch in text:
+    start = 0
+    for m in re.finditer(r"[][()]|" + re.escape(sep), text):
+        ch = m.group()
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
+        elif depth == 0:
+            parts.append(text[start:m.start()])
+            start = m.end()
+    parts.append(text[start:])
     return parts
 
 

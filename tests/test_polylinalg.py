@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyminors import (
     GF,
@@ -27,7 +29,7 @@ from polyminors.polylinalg import (
     identity_matrix,
     random_matrix,
 )
-from polyminors.polyring import ExponentOverflowError
+from polyminors.polyring import MAX_EXPONENT, ExponentOverflowError
 
 
 def brute_force_minors(k, M):
@@ -71,6 +73,59 @@ class TestPolyMatrix:
         M = identity_matrix(ring, 2)
         with pytest.raises(MatrixShapeError):
             M.submatrix(SubmatrixChoice((0, 5), (0, 1)))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(A, B) with a shared inner dimension over GF(101) or QQ with denominators.
+
+    Exponents are mostly below 4, so entries cancel, and one in eight is
+    just below or at MAX_EXPONENT / 2 or MAX_EXPONENT - 1, so some products
+    overflow.
+    """
+    ring = PolyRing(draw(st.sampled_from([GF(101), QQ])), ["x", "y"])
+    big = st.sampled_from([MAX_EXPONENT // 2 - 1, MAX_EXPONENT // 2, MAX_EXPONENT - 1])
+    exponent = st.integers(0, 7).flatmap(lambda r: big if r == 0 else st.integers(0, 3))
+    if ring.field.is_prime_field:
+        coefficient = st.integers(0, 100)
+    else:
+        coefficient = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    entry = st.lists(st.tuples(coefficient, st.tuples(exponent, exponent)), max_size=4).map(ring.from_terms)
+    m, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    A = PolyMatrix(ring, draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m)))
+    B = PolyMatrix(ring, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k)))
+    return A, B
+
+
+class TestMatrixProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_pairs())
+    def test_product_is_the_sum_of_polynomial_products(self, pair):
+        # Entry (i, j) is sum_k A[i, k] * B[k, j] formed with Polynomial
+        # arithmetic; the product overflows exactly when one of those does.
+        A, B = pair
+        try:
+            expected = [
+                [sum((A[i, k] * B[k, j] for k in range(A.ncols)), A.ring.zero()) for j in range(B.ncols)]
+                for i in range(A.nrows)
+            ]
+        except ExponentOverflowError:
+            with pytest.raises(ExponentOverflowError):
+                A * B
+            return
+        product = A * B
+        assert product.shape == (A.nrows, B.ncols)
+        assert [list(row) for row in product.entries] == expected
+        for row in product.entries:
+            for e in row:
+                for m, c in e.terms.items():
+                    assert type(m) is tuple and all(type(v) is int for v in m)
+                    assert type(c) is (int if A.ring.field.is_prime_field else Fraction) and c
+
+    def test_shapes_must_compose(self):
+        ring = PolyRing(QQ, ["x"])
+        with pytest.raises(MatrixShapeError):
+            identity_matrix(ring, 2) * identity_matrix(ring, 3)
 
 
 class TestDeterminants:

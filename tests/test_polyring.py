@@ -487,6 +487,14 @@ class TestParser:
                 f = random_polynomial(ring, 4, rng)
                 assert parse_polynomial(str(f), ring) == f
 
+    def test_exponent_limit_names_the_largest_exponent(self, ring_xy):
+        # MAX_EXPONENT - 1 = 65535 is the largest exponent allowed.
+        assert ring_xy.parse("x^65535").terms == {(MAX_EXPONENT - 1, 0): 1}
+        with pytest.raises(ParseError, match=r"^exponent above 65535 \(at position 2\)$"):
+            ring_xy.parse("x^65536")
+        with pytest.raises(ExponentOverflowError, match="^exponent above 65535$"):
+            ring_xy.parse("x^65535*y*x")
+
     def test_zero_prints_and_parses(self, ring_xy):
         assert str(ring_xy.zero()) == "0"
         assert ring_xy.parse("0").is_zero()

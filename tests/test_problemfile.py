@@ -112,3 +112,31 @@ def test_duplicate_ring_rejected(key):
 def test_broken_complex_rejected():
     with pytest.raises(ProblemFileError):
         parse_problem_text("ring: 0; x, y\ncomplex: d1=[[x, y]]; d2=[[x], [y]]\n")
+
+
+@pytest.mark.parametrize(
+    "ring, body, accepted",
+    [
+        ("0; x, y", "d1=[[1/2*x, 1/3*y]]; d2=[[2/3*y], [-x]]", True),
+        ("0; x, y", "d1=[[1/2*x, 1/3*y]]; d2=[[2/3*y], [-1/2*x]]", False),
+        ("101; x, y", "d1=[[x, y]]; d2=[[y], [100*x]]", True),
+        ("0; x, y", "d1=[[x, y]]; d2=[[y], [100*x]]", False),
+        ("0; x", "d1=[[x^40000]]; d2=[[x^40000 - x^40000]]", True),
+    ],
+)
+def test_complex_check_is_exact(ring, body, accepted):
+    # d_i * d_{i+1} is formed exactly: over QQ with denominators, and with
+    # coefficients reduced mod p, so 101*x*y vanishes over GF(101) only.
+    text = f"ring: {ring}\ncomplex: {body}\n"
+    if accepted:
+        assert parse_problem_text(text).complex.length == 2
+    else:
+        with pytest.raises(ProblemFileError, match="d1 \\* d2 is not zero"):
+            parse_problem_text(text)
+
+
+def test_complex_check_overflows_before_terms_cancel():
+    # x^40000 * x^40000 - x^40000 * x^40000 is zero, but each product
+    # overflows the exponent range before the sum is formed.
+    with pytest.raises(ProblemFileError, match="invalid complex: exponent "):
+        parse_problem_text("ring: 0; x\ncomplex: d1=[[x^40000, x^40000]]; d2=[[x^40000], [-x^40000]]\n")
