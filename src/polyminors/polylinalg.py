@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 from .polyring import (
@@ -17,6 +19,7 @@ from .polyring import (
     _max_exponents,
     exponent_overflow_error,
     identity_order,
+    random_polynomial,
 )
 
 DET_BAREISS = "bareiss"
@@ -59,10 +62,10 @@ class SubmatrixChoice:
 def _packed_line(packing, entries, p):
     """(scale, [(top word, [(word, int coefficient)])]) of a matrix row or column.
 
-    Words are `packing`'s, a Lex order's, and each entry's top word holds its
-    largest exponent per variable.  Over QQ, scale is the common denominator
-    of the line's coefficients and the ints are numerators over it; over F_p
-    it is 1.
+    Words are `packing.pack`'s; under a Lex packing, each entry's top word
+    holds its largest exponent per variable.  Over QQ, scale is the common
+    denominator of the line's coefficients and the ints are numerators over
+    it; over F_p it is 1.
     """
     pack = packing.pack
     scale = 1 if p else math.lcm(*[c.denominator for e in entries for c in e.terms.values()])
@@ -73,6 +76,31 @@ def _packed_line(packing, entries, p):
         )
         for e in entries
     ]
+
+
+def _add_product(acc, a, b, guard: int, sign: int = 1):
+    """acc[word] += sign * a * b for entries a, b = (top word, [(word, int)]).
+
+    Fields hold exponents below MAX_EXPONENT, so two top words cannot carry
+    past a guard bit; nonzero entries whose top words sum into one raise
+    ExponentOverflowError, as the Polynomial product does.
+    """
+    (top_a, a), (top_b, b) = a, b
+    if a and b:
+        if (top_a + top_b) & guard:
+            raise exponent_overflow_error()
+        for wa, ca in a:
+            ca *= sign
+            for wb, cb in b:
+                acc[wa + wb] += ca * cb
+
+
+def _polynomial(ring: PolyRing, unpack, terms, d: int) -> Polynomial:
+    """The Polynomial of (word, int) terms: each reduced mod p, or over QQ divided by d."""
+    p = ring.field.characteristic
+    if p:
+        return Polynomial(ring, {unpack(w): r for w, c in terms if (r := c % p)})
+    return Polynomial(ring, {unpack(w): Fraction(c, d) for w, c in terms if c})
 
 
 class PolyMatrix:
@@ -133,21 +161,19 @@ class PolyMatrix:
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """The exact matrix product.
 
-        Each output entry sums its term products in one dict keyed by packed
-        Lex exponent words, where the sum of two words is the word of the
-        product, with int coefficients: residues over F_p, and over QQ
-        numerators over the common denominator of self's row and of other's
-        column, divided once per output term.  Only nonzero output terms are
-        unpacked.  A product of two nonzero entries with an exponent above
-        MAX_EXPONENT - 1 raises ExponentOverflowError, as the Polynomial
-        product does.
+        Each output entry sums its term products (`_add_product`) in one
+        dict keyed by packed Lex exponent words, where the sum of two words is
+        the word of the product, with int coefficients: residues over F_p, and
+        over QQ numerators over the common denominator of self's row and of
+        other's column, divided once per output term.  Only nonzero output
+        terms are unpacked.
         """
         if self.ncols != other.nrows:
             raise MatrixShapeError("incompatible shapes for product")
         ring = self.ring
         p = ring.field.characteristic
         packing = identity_order(LEX, ring.num_vars).packing
-        guard, unpack = packing.guard, packing.unpack
+        guard = packing.guard
         cols = [_packed_line(packing, col, p) for col in zip(*other.entries)]
         rows = []
         for row in self.entries:
@@ -155,22 +181,9 @@ class PolyMatrix:
             out = []
             for col_scale, col in cols:
                 acc = defaultdict(int)
-                for (top_a, a), (top_b, b) in zip(row, col):
-                    if not (a and b):
-                        continue
-                    # Fields hold exponents below MAX_EXPONENT, so a sum cannot
-                    # carry past its field's guard bit.
-                    if (top_a + top_b) & guard:
-                        raise exponent_overflow_error()
-                    for wa, ca in a:
-                        for wb, cb in b:
-                            acc[wa + wb] += ca * cb
-                if p:
-                    terms = {unpack(w): r for w, c in acc.items() if (r := c % p)}
-                else:
-                    d = row_scale * col_scale
-                    terms = {unpack(w): Fraction(c, d) for w, c in acc.items() if c}
-                out.append(Polynomial(ring, terms))
+                for a, b in zip(row, col):
+                    _add_product(acc, a, b, guard)
+                out.append(_polynomial(ring, packing.unpack, acc.items(), row_scale * col_scale))
             rows.append(out)
         return PolyMatrix(ring, rows)
 
@@ -209,34 +222,119 @@ class ChainComplexInput:
         return len(self.maps)
 
 
+def _bareiss(M: PolyMatrix, full_pivot: bool):
+    """Fraction-free (Bareiss 1968) elimination of M's Lex `_packed_line` rows.
+
+    Over QQ the rows are scaled to integers, so every division is exact over
+    ZZ.  Step k takes the first nonzero pivot in column k, or with full_pivot
+    in the trailing block by rows then columns, swaps it to (k, k) and
+    replaces each a_ij below and right of it by
+    (pivot * a_ij - a_ik * a_kj) / previous pivot.
+
+    Returns (rank, sign of the swaps, the eliminated rows, product of the row
+    scales); with full rank, the last pivot is the determinant times both.
+    """
+    ring = M.ring
+    p = ring.field.characteristic
+    packing = identity_order(LEX, ring.num_vars).packing
+    guard, word_lcm = packing.guard, packing.word_lcm
+    scale = 1
+    a = []
+    for row in M.entries:
+        row_scale, line = _packed_line(packing, row, p)
+        scale *= row_scale
+        a.append(line)
+    nrows, ncols = M.nrows, M.ncols
+    sign = 1
+    rank = 0
+    for k in range(min(nrows, ncols)):
+        cols = range(k, ncols) if full_pivot else (k,)
+        pivot = next(((i, j) for i in range(k, nrows) for j in cols if a[i][j][1]), None)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            sign = -sign
+        if pj != k:
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        for row in a[k + 1 :]:
+            for j in range(k + 1, ncols):
+                acc = defaultdict(int)
+                _add_product(acc, a[k][k], row[j], guard)
+                _add_product(acc, row[k], a[k][j], guard, -1)
+                if p:
+                    num = {w: r for w, c in acc.items() if (r := c % p)}
+                else:
+                    num = {w: c for w, c in acc.items() if c}
+                if k and num:
+                    num = _divide(num, a[k - 1][k - 1], p, guard)
+                row[j] = (reduce(word_lcm, num, 0), list(num.items()))
+        rank += 1
+    return rank, sign, a, scale
+
+
+def _divide(num: dict, divisor, p: int, guard: int) -> dict:
+    """The exact quotient of {word: int} num by a (top word, [(word, int)]) divisor.
+
+    Heap division after Monagan & Pearce (CASC 2007), largest word first.
+    A remainder term the divisor's lead does not divide, or over ZZ a lead
+    coefficient it does not divide, raises PolyError; a quotient term whose
+    product with the divisor passes the exponent limit raises
+    ExponentOverflowError.  num is consumed.
+    """
+    top, den = divisor
+    dm, dc = max(den)
+    if p:
+        dc = pow(dc, p - 2, p)
+    rest = [(w, c) for w, c in den if w != dm]
+    get = num.get
+    # Words, negated so heapq pops the largest first.  Lazy deletion: a
+    # popped word no longer in num was cancelled.
+    heap = [-w for w in num]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = get(m)
+        if c is None:
+            continue
+        qm = m - dm
+        if qm & guard or not p and c % dc:
+            raise PolyError("inexact polynomial division")
+        if (qm + top) & guard:
+            raise exponent_overflow_error()
+        qc = c * dc % p if p else c // dc
+        quot[qm] = qc
+        # The divisor's lead term cancels m.
+        del num[m]
+        for w, c2 in rest:
+            t = qm + w
+            old = get(t)
+            if old is None:
+                heapq.heappush(heap, -t)
+                old = 0
+            s = old - qc * c2
+            if p:
+                s %= p
+            if s:
+                num[t] = s
+            else:
+                del num[t]
+    return quot
+
+
 def det_bareiss(M: PolyMatrix) -> Polynomial:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination with a column pivot search."""
     if not M.is_square():
         raise MatrixShapeError("determinant of a non-square matrix")
-    n = M.nrows
-    if n == 1:
-        return M[0, 0]
-    a = [list(row) for row in M.entries]
-    ring = M.ring
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        # Full column search for the first nonzero pivot.
-        pivot_row = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-        if pivot_row is None:
-            return ring.zero()
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_divide(prev)
-            a[i][k] = ring.zero()
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    rank, sign, a, scale = _bareiss(M, full_pivot=False)
+    if rank < M.nrows:
+        return M.ring.zero()
+    unpack = identity_order(LEX, M.ring.num_vars).packing.unpack
+    return _polynomial(M.ring, unpack, [(w, sign * c) for w, c in a[-1][-1][1]], scale)
 
 
 def det_cofactor(M: PolyMatrix) -> Polynomial:
@@ -329,22 +427,14 @@ def recursive_minors(k: int, M: PolyMatrix, table_cap: int = DEFAULT_TABLE_CAP):
     ring = M.ring
     p = ring.field.characteristic
     packing = ring.canonical_order.packing
-    pack = packing.pack
     scales = []
     # signed[r][c] = (terms of M[r, c], their negation): the cofactor sign of
     # the row's position i in a minor is signed[r][c][i & 1].
     signed = []
     for row in M.entries:
-        scale = 1 if p else math.lcm(*[c.denominator for e in row for c in e.terms.values()])
+        scale, line = _packed_line(packing, row, p)
         scales.append(scale)
-        cells = []
-        for e in row:
-            terms = [
-                (pack(m), c if p else c.numerator * (scale // c.denominator))
-                for m, c in e.terms.items()
-            ]
-            cells.append((terms, [(m, -c) for m, c in terms]))
-        signed.append(cells)
+        signed.append([(terms, [(m, -c) for m, c in terms]) for _, terms in line])
 
     def expand(rows, cols):
         c0 = cols[0]
@@ -371,14 +461,10 @@ def recursive_minors(k: int, M: PolyMatrix, table_cap: int = DEFAULT_TABLE_CAP):
     for level in range(2, k + 1):
         table = {key: expand(*key) for key in needed[level]}
 
-    unpack = packing.unpack
-    if p:
-        return [Polynomial(ring, {unpack(m): c for m, c in table[key]}) for key in targets]
-    minors = []
-    for key in targets:
-        d = math.prod(scales[r] for r in key[0])
-        minors.append(Polynomial(ring, {unpack(m): Fraction(c, d) for m, c in table[key]}))
-    return minors
+    return [
+        _polynomial(ring, packing.unpack, table[key], math.prod(scales[r] for r in key[0]))
+        for key in targets
+    ]
 
 
 def _check_minor_exponents(k: int, M: PolyMatrix):
@@ -428,37 +514,7 @@ def numeric_rank(grid, field):
 
 def symbolic_rank(M: PolyMatrix) -> int:
     """Rank over the fraction field by fraction-free elimination with full pivot search."""
-    a = [list(row) for row in M.entries]
-    ring = M.ring
-    nrows, ncols = M.nrows, M.ncols
-    rank = 0
-    prev = ring.one()
-    while rank < min(nrows, ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            for j in range(rank, ncols):
-                if not a[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != rank:
-            a[rank], a[pi] = a[pi], a[rank]
-        if pj != rank:
-            for row in a:
-                row[rank], row[pj] = row[pj], row[rank]
-        p = a[rank][rank]
-        for i in range(rank + 1, nrows):
-            for j in range(rank + 1, ncols):
-                num = p * a[i][j] - a[i][rank] * a[rank][j]
-                a[i][j] = num.exact_divide(prev)
-            a[i][rank] = ring.zero()
-        prev = p
-        rank += 1
-    return rank
+    return _bareiss(M, full_pivot=True)[0]
 
 
 def jacobian(gens) -> PolyMatrix:
@@ -482,8 +538,6 @@ def identity_matrix(ring: PolyRing, n: int) -> PolyMatrix:
 
 
 def random_matrix(ring: PolyRing, nrows: int, ncols: int, degree: int, rng, homogeneous: bool = False) -> PolyMatrix:
-    from .polyring import random_polynomial
-
     return PolyMatrix(
         ring,
         [

@@ -7,13 +7,12 @@ to nonzero coefficients; tuples are what every public function takes and
 returns.  A monomial order has one encoding, its ExponentPacking: each
 monomial becomes one int, comparing ints is the order, multiplication an add
 and divisibility one mask test.  Leading terms, printing, the greedy ranking
-and the division loops (`Polynomial.exact_divide` and the Groebner core in
-`gbasis`) all order monomials by these ints.
+and the Groebner core's division loop in `gbasis` all order monomials by
+these ints.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,7 +202,7 @@ class ExponentPacking:
     in exactly the fields where b - a is negative, which gives `divides`.  A
     packed product of two such monomials has an exponent of MAX_EXPONENT or
     more exactly when it does not divide (MAX_EXPONENT - 1, ...), which gives
-    `room`.  The division loops inline both tests.
+    `packed_room`.  The Groebner core's division loop inlines both tests.
 
     An exponent word is the plain sum(e[v] << shift[v]) over the same fields,
     with zero guard bits and no degree field.  Its int order is a Lex order,
@@ -247,16 +246,12 @@ class ExponentPacking:
         """True if packed monomial a divides packed monomial b."""
         return not (b - a + self.offset) & self.guard
 
-    def room(self, monos) -> int:
-        """Packed headroom of a polynomial with these exponent tuples.
+    def packed_room(self, packed) -> int:
+        """Packed headroom of a polynomial given by its packed monomials.
 
         A packed monomial s times every one of them stays below MAX_EXPONENT
         exactly when not (room - s) & guard.
         """
-        return self._top - self.pack(_max_exponents(monos))
-
-    def packed_room(self, packed) -> int:
-        """`room` of a polynomial given by its packed monomials."""
         top = reduce(self.word_lcm, map(self.word, packed), 0)
         return self._top - self.from_word(top)[1]
 
@@ -559,57 +554,6 @@ class Polynomial:
             total = field.add(total, v)
         return total
 
-    def exact_divide(self, divisor: "Polynomial") -> "Polynomial":
-        """Quotient self / divisor when the division is exact; error otherwise."""
-        self._check_ring(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        field = self.ring.field
-        p = field.characteristic
-        packing = self.ring.canonical_order.packing
-        pack, guard, offset = packing.pack, packing.guard, packing.offset
-        d_terms = {pack(m): c for m, c in divisor.terms.items()}
-        dm = max(d_terms)
-        dc_inv = field.inv(d_terms.pop(dm))
-        room = packing.room(divisor.terms)
-        rem = {pack(m): c for m, c in self.terms.items()}
-        get = rem.get
-        # Packed monomials, negated so heapq pops the largest first.  Lazy
-        # deletion: a popped monomial no longer in rem was cancelled.
-        heap = [-m for m in rem]
-        heapq.heapify(heap)
-        quot = {}
-        while heap:
-            m = -heapq.heappop(heap)
-            c = get(m)
-            if c is None:
-                continue
-            if (m - dm + offset) & guard:  # packing.divides(dm, m), inlined
-                raise PolyError("inexact polynomial division")
-            qm = m - dm
-            if (room - qm) & guard:
-                raise exponent_overflow_error()
-            qc = c * dc_inv % p if p else c * dc_inv
-            quot[qm] = qc
-            # The divisor's lead term cancels m.
-            del rem[m]
-            for m2, c2 in d_terms.items():
-                t = qm + m2
-                old = get(t)
-                if old is None:
-                    heapq.heappush(heap, -t)
-                    rem[t] = -qc * c2 % p if p else -qc * c2
-                    continue
-                s = old - qc * c2
-                if p:
-                    s %= p
-                if s:
-                    rem[t] = s
-                else:
-                    del rem[t]
-        unpack = packing.unpack
-        return Polynomial(self.ring, {unpack(m): c for m, c in quot.items()})
-
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.ring == other.ring and self.terms == other.terms
@@ -700,13 +644,19 @@ class _Parser:
     `expr` adds each term into one {exponent tuple: coefficient} dict in
     place.  `term` multiplies a run of coefficients and variables into one
     exponent list and one coefficient; only a parenthesised factor goes
-    through Polynomial arithmetic.
+    through Polynomial arithmetic.  Expressions nest at most MAX_DEPTH deep,
+    the whole text counting as the first; each level costs two frames (expr
+    and term), so the limit is a property of the text, well inside Python's
+    default recursion limit.
     """
+
+    MAX_DEPTH = 330
 
     def __init__(self, text: str, ring: PolyRing):
         self.ring = ring
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -729,6 +679,9 @@ class _Parser:
         return Polynomial(self.ring, terms)
 
     def expr(self) -> dict:
+        self.depth += 1
+        if self.depth > self.MAX_DEPTH:
+            raise ParseError("expression nested too deeply", self.peek()[2])
         p = self.ring.field.characteristic
         acc = {}
         get = acc.get
@@ -749,6 +702,7 @@ class _Parser:
                     del acc[m]
             kind, value, _ = self.peek()
             if kind != "op" or value not in "+-":
+                self.depth -= 1
                 return acc
             self.next()
             negate = value == "-"
@@ -804,8 +758,9 @@ class _Parser:
                     top[idx] += e
                     mono[idx] += e
             elif kind == "op" and value == "(":
-                self.i = i - 1
-                q = self.parenthesised()
+                self.i = i
+                q = Polynomial(ring, self.expr())
+                self.expect_op(")")
                 i = self.i
                 if not q:
                     coef = 0
@@ -829,22 +784,10 @@ class _Parser:
             return ((tuple(mono), coef),)
         return [(tuple(map(add, m, mono)), field.mul(c, coef)) for m, c in poly.terms.items()]
 
-    def parenthesised(self) -> Polynomial:
-        # Its own frame, so each nesting level costs three (expr, term and
-        # this), which sets the depth at which parsing gives up.
-        self.next()
-        terms = self.expr()
-        self.expect_op(")")
-        return Polynomial(self.ring, terms)
-
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse a polynomial from text in the given ring."""
-    parser = _Parser(text, ring)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
+    return _Parser(text, ring).parse()
 
 
 def random_polynomial(ring: PolyRing, degree: int, rng, terms: int = None, homogeneous: bool = False) -> Polynomial:

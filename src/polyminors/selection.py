@@ -6,7 +6,7 @@ import re
 from enum import Enum
 
 from .gbasis import Ideal
-from .polylinalg import PolyMatrix, SubmatrixChoice, numeric_rank
+from .polylinalg import PolyMatrix, SubmatrixChoice, determinant, numeric_rank
 from .polyring import GREVLEX, LEX, PolyError, random_order
 
 MUTATION_RESET_PERIOD = 5
@@ -418,8 +418,6 @@ def choose_good_minors(count: int, size: int, M: PolyMatrix, strategy: StrategyT
     Returns (Ideal of minors, stats) where stats counts every draw as
     `considered` and only distinct submatrix keys as `computed`.
     """
-    from .polylinalg import determinant
-
     if size > min(M.nrows, M.ncols) or size < 1:
         raise PolyError(f"minor size {size} out of range")
     if count < 0:

@@ -1,5 +1,6 @@
-"""Determinant engines, recursive all-minors, ranks, and the Jacobian."""
+"""Determinant engines and their exact division, recursive all-minors, ranks, and the Jacobian."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -26,10 +27,21 @@ from polyminors import (
 from polyminors.polylinalg import (
     MatrixShapeError,
     MinorTableTooLargeError,
+    _divide,
+    _packed_line,
     identity_matrix,
     random_matrix,
 )
-from polyminors.polyring import MAX_EXPONENT, ExponentOverflowError
+from polyminors.polyring import (
+    LEX,
+    MAX_EXPONENT,
+    ExponentOverflowError,
+    PolyError,
+    Polynomial,
+    identity_order,
+    random_polynomial,
+)
+from tests.test_polyring import assert_canonical, fractional_polynomial
 
 
 def brute_force_minors(k, M):
@@ -149,19 +161,27 @@ class TestDeterminants:
             with pytest.raises(MatrixShapeError):
                 determinant(M, engine)
 
-    @pytest.mark.parametrize("char", [0, 101])
-    def test_engine_agreement_random(self, char):
+    @pytest.mark.parametrize("char, denominators", [(0, False), (101, False), (0, True)],
+                             ids=["0", "101", "0-denominators"])
+    def test_engine_agreement_random(self, char, denominators):
         # Acceptance criterion 9 ingredient: 200 random matrices, 3 engines.
-        rng = random.Random(char)
+        # With denominators, QQ entries have non-integer coefficients, so the
+        # Bareiss and recursive kernels scale rows to integers and back.
+        rng = random.Random("denominators" if denominators else char)
         field = QQ if char == 0 else GF(char)
         ring = PolyRing(field, ["x", "y"])
         for trial in range(100):
             n = rng.choice([2, 3])
-            M = random_matrix(ring, n, n, 2, rng)
+            if denominators:
+                M = PolyMatrix(ring, [[fractional_polynomial(ring, 2, rng) for _ in range(n)]
+                                      for _ in range(n)])
+            else:
+                M = random_matrix(ring, n, n, 2, rng)
             d1 = det_bareiss(M)
             d2 = det_cofactor(M)
             d3 = determinant(M, "recursive")
             assert d1 == d2 == d3, f"engines disagree on trial {trial}"
+            assert_canonical(d1)
 
     def test_row_swap_flips_sign(self):
         ring = PolyRing(QQ, ["x", "y"])
@@ -188,6 +208,110 @@ class TestDeterminants:
         z = ring.zero()
         M = PolyMatrix(ring, [[z, x], [x, z]])
         assert det_bareiss(M) == -(x * x)
+
+
+class TestBareissOverflow:
+    """Where the Bareiss products pass MAX_EXPONENT - 1, elimination raises."""
+
+    @staticmethod
+    def matrix(rows):
+        ring = PolyRing(GF(101), ["x", "y"])
+        return PolyMatrix(ring, [[ring.parse(e) for e in row] for row in rows])
+
+    @pytest.mark.parametrize("rows", [
+        # pivot * a_11 = x^80000 at the first step.
+        [["x^40000", "1"], ["1", "x^40000"]],
+        # The determinant x^40000 fits, but pivot * a_11 does not.
+        [["x^40000", "x^40000"], ["x^40000", "x^40000 + 1"]],
+        # Only the second step's pivot * a_22 passes the limit.
+        [["1", "0", "0"], ["0", "x^30000", "0"], ["0", "0", "x^40000*y"]],
+        # The second step multiplies entries the first one grew:
+        # x^40000 * x^50000.
+        [["x^20000", "0", "0"], ["0", "x^20000", "0"], ["0", "0", "x^30000"]],
+        # After a row swap (det) or a column swap (rank).
+        [["0", "x^40000"], ["x^40000", "1"]],
+    ])
+    def test_raises(self, rows):
+        M = self.matrix(rows)
+        with pytest.raises(ExponentOverflowError):
+            det_bareiss(M)
+        with pytest.raises(ExponentOverflowError):
+            symbolic_rank(M)
+
+    def test_fits_at_the_limit(self):
+        # x^30000*y * x^35535 has exponent MAX_EXPONENT - 1.
+        M = self.matrix([["x^30000*y", "1"], ["1", "x^35535"]])
+        assert det_bareiss(M) == M.ring.parse("x^65535*y - 1")
+        assert symbolic_rank(M) == 2
+        # A zero entry is never multiplied, so x^40000 twice raises nothing.
+        M = self.matrix([["x^40000", "0"], ["x^40000", "0"]])
+        assert det_bareiss(M).is_zero()
+        assert symbolic_rank(M) == 1
+
+
+def kernel_quotient(f, g):
+    """f / g by the elimination kernel's heap division on packed Lex words.
+
+    Over QQ the kernel divides integer numerators, so f and g must have
+    integer coefficients.
+    """
+    ring = f.ring
+    p = ring.field.characteristic
+    packing = identity_order(LEX, ring.num_vars).packing
+    (f_scale, [(_, num)]), (g_scale, [(top, den)]) = (
+        _packed_line(packing, [f], p), _packed_line(packing, [g], p))
+    assert f_scale == g_scale == 1
+    q = _divide(dict(num), (top, den), p, packing.guard)
+    return Polynomial(ring, {packing.unpack(w): c if p else Fraction(c) for w, c in q.items()})
+
+
+def integral(f):
+    """f times the common denominator of its coefficients."""
+    return f.scalar_mul(math.lcm(*[c.denominator for c in f.terms.values()]))
+
+
+class TestExactDivision:
+    def test_exact_divide(self, rng):
+        ring_xy = PolyRing(QQ, ["x", "y"])
+        ring_p = PolyRing(GF(101), ["x", "y", "z"])
+        ring_big_p = PolyRing(GF(2**31 - 1), ["x", "y", "z"])
+        draws = [
+            lambda degree: random_polynomial(ring_xy, degree, rng),
+            lambda degree: integral(fractional_polynomial(ring_xy, degree, rng)),
+            lambda degree: random_polynomial(ring_big_p, degree, rng),
+            lambda degree: random_polynomial(ring_p, degree, rng),
+        ]
+        for draw in draws:
+            for _ in range(20):
+                f = draw(3)
+                g = draw(3)
+                if g.is_zero():
+                    continue
+                q = kernel_quotient(f * g, g)
+                assert q == f
+                assert_canonical(q)
+        # Remainder terms cancel here, so some popped words are no longer in
+        # the remainder and are skipped.
+        f = ring_p.parse("x^2 + x*y - y^2 + z")
+        g = ring_p.parse("x^2 + x*y + y^2 + z")
+        assert kernel_quotient(f * g, g) == f
+        assert kernel_quotient(f * g, f) == g
+
+    def test_exponent_overflow_in_exact_divide(self):
+        # The first quotient term y^65535 times the divisor's top word x*y
+        # passes the limit.
+        ring = PolyRing(QQ, ["x", "y"])
+        x, y = ring.gens()
+        with pytest.raises(ExponentOverflowError):
+            kernel_quotient(ring.from_terms([(1, (1, MAX_EXPONENT - 1))]), x + y)
+
+    def test_inexact_divide_raises(self):
+        ring = PolyRing(QQ, ["x", "y"])
+        with pytest.raises(PolyError, match="inexact polynomial division"):
+            kernel_quotient(ring.parse("x^2 + 1"), ring.parse("y"))
+        # Over ZZ the lead coefficient must divide exactly too.
+        with pytest.raises(PolyError, match="inexact polynomial division"):
+            kernel_quotient(ring.parse("3*x"), ring.parse("2*x"))
 
 
 class TestRecursiveMinors:
@@ -307,15 +431,32 @@ class TestRanks:
 
     def test_symbolic_rank_full(self):
         ring = PolyRing(QQ, ["x", "y"])
-        M = random_matrix(ring, 3, 3, 1, random.Random(4))
+        rng = random.Random(4)
+        M = random_matrix(ring, 3, 3, 1, rng)
         if not det_bareiss(M).is_zero():
             assert symbolic_rank(M) == 3
+        # Non-integer coefficients, which the kernel scales away row by row.
+        F = PolyMatrix(ring, [[fractional_polynomial(ring, 1, rng) for _ in range(3)] for _ in range(3)])
+        assert not det_cofactor(F).is_zero()
+        assert symbolic_rank(F) == 3
 
     def test_symbolic_rank_degenerate(self):
         ring = PolyRing(QQ, ["x", "y"])
         x, y = ring.gens()
         M = PolyMatrix(ring, [[x, y], [x * x, x * y]])
         assert symbolic_rank(M) == 1
+        # A zero first column: the pivot needs a column swap.
+        z = ring.zero()
+        assert symbolic_rank(PolyMatrix(ring, [[z, x, y], [z, x * x, x * y + 1]])) == 2
+        # The second row is 4/3*x times the first.
+        M = PolyMatrix(ring, [[x * Fraction(1, 2), y * Fraction(3, 7)],
+                              [x * x * Fraction(2, 3), x * y * Fraction(4, 7)]])
+        assert symbolic_rank(M) == 1
+        # A 3 x 3 product through a 2-dimensional middle, with denominators.
+        rng = random.Random(6)
+        A = PolyMatrix(ring, [[fractional_polynomial(ring, 1, rng) for _ in range(2)] for _ in range(3)])
+        B = PolyMatrix(ring, [[fractional_polynomial(ring, 1, rng) for _ in range(3)] for _ in range(2)])
+        assert symbolic_rank(A) == symbolic_rank(A * B) == 2
 
     def test_specialization_rank_bounded_by_symbolic(self):
         # Acceptance criterion 9 ingredient: 500 random (matrix, point) pairs.
