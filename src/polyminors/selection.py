@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from enum import Enum
 
 from .gbasis import Ideal
 from .polylinalg import PolyMatrix, SubmatrixChoice, determinant, numeric_rank
-from .polyring import GREVLEX, LEX, PolyError, random_order
+from .polyring import GREVLEX, LEX, PolyError, identity_order, random_order
 
 MUTATION_RESET_PERIOD = 5
 DEFAULT_POINT_ATTEMPTS = 2000
@@ -34,20 +35,8 @@ class SelectionMethod(Enum):
     POINTS = "Points"
 
 
-_GREEDY_METHODS = {
-    SelectionMethod.LEX_SMALLEST,
-    SelectionMethod.LEX_SMALLEST_TERM,
-    SelectionMethod.LEX_LARGEST,
-    SelectionMethod.GREVLEX_SMALLEST,
-    SelectionMethod.GREVLEX_SMALLEST_TERM,
-    SelectionMethod.GREVLEX_LARGEST,
-}
-
-_GREVLEX_METHODS = {
-    SelectionMethod.GREVLEX_SMALLEST,
-    SelectionMethod.GREVLEX_SMALLEST_TERM,
-    SelectionMethod.GREVLEX_LARGEST,
-}
+_GREEDY_METHODS = {m for m in SelectionMethod if "Lex" in m.value}
+_GREVLEX_METHODS = {m for m in _GREEDY_METHODS if m.value.startswith("GRevLex")}
 
 
 class StrategyTable:
@@ -163,49 +152,101 @@ def parse_strategy(spec: str) -> StrategyTable:
 
 
 class WorkingMatrix:
-    """Original matrix plus the mutated copy used by the GRevLex methods.
+    """A matrix with its nonzero positions, extremal supports and mutation counts.
 
-    Nonzero entries picked by a GRevLex method get multiplied by a random
-    degree-1 polynomial so later scans make different choices; the mutation is
-    undone every MUTATION_RESET_PERIOD selections.
+    The greedy methods rank an entry by its smallest or largest term under a
+    random order, which is one of its divisibility-minimal or -maximal terms
+    (`extremal`), since every monomial order extends divisibility.  The
+    GRevLex methods mutate each used nonzero entry: its product with a random
+    c0 + c1*x1 + ... + cn*xn (all ci nonzero) is only counted, since its
+    smallest term is the entry's and its largest the entry's times the order's
+    top variable; the n + 1 coefficients are still drawn.  The counts reset
+    every MUTATION_RESET_PERIOD selections.
     """
 
     def __init__(self, original: PolyMatrix):
         self.original = original
-        self.mutated = [list(row) for row in original.entries]
-        self.selections_since_reset = 0
+        self.nonzero = [(i, j) for i, row in enumerate(original.entries)
+                        for j, e in enumerate(row) if e.terms]
+        self._extremal = {}
+        self.reset()
+
+    def extremal(self, largest: bool) -> dict:
+        """{position: divisibility-maximal, or -minimal, terms}, built on first use.
+
+        Sorted by degree, terms meet their proper multiples (divisors) first,
+        so one sweep finds them: a guard test on exponent words per pair.
+        """
+        if largest not in self._extremal:
+            packing = identity_order(LEX, self.original.ring.num_vars).packing
+            guard, sign = packing.guard, -1 if largest else 1
+            table = self._extremal[largest] = {}
+            for ij in self.nonzero:
+                terms = sorted(self.original[ij].terms, key=sum, reverse=largest)
+                kept = []
+                for w, t in zip(map(packing.pack, terms), terms):
+                    w *= sign
+                    if all((w - u) & guard for u, _ in kept):
+                        kept.append((w, t))
+                table[ij] = [t for _, t in kept]
+        return self._extremal[largest]
+
+    def keys(self, method: SelectionMethod, order) -> dict:
+        """{position: packed smallest, or largest, term} of each nonzero entry, mutated."""
+        largest = method.value.endswith("Largest")
+        pick, pack = max if largest else min, order.packing.pack
+        keys = {ij: pick(map(pack, terms)) for ij, terms in self.extremal(largest).items()}
+        if method == SelectionMethod.GREVLEX_LARGEST:
+            # Counts stay below MUTATION_RESET_PERIOD, far inside the 17-bit fields.
+            top = order.packing.weights[order.permutation[0]]
+            for ij, m in self.mutations.items():
+                keys[ij] += m * top
+        return keys
 
     def mutate(self, used: SubmatrixChoice, rng):
-        """Degree-raise the just-used entries; reset periodically."""
+        """Count a mutation of the just-used nonzero entries; reset periodically."""
         ring = self.original.ring
-        field = ring.field
-        for i, j in zip(used.rows, used.cols):
-            entry = self.mutated[i][j]
-            if entry.is_zero():
-                continue
-            terms = [(field.random_nonzero(rng), (0,) * ring.num_vars)]
-            for v in range(ring.num_vars):
-                exps = [0] * ring.num_vars
-                exps[v] = 1
-                terms.append((field.random_nonzero(rng), tuple(exps)))
-            self.mutated[i][j] = entry * ring.from_terms(terms)
+        for ij in zip(used.rows, used.cols):
+            if self.original[ij].terms:
+                for _ in range(ring.num_vars + 1):
+                    ring.field.random_nonzero(rng)
+                self.mutations[ij] += 1
         self.selections_since_reset += 1
         if self.selections_since_reset >= MUTATION_RESET_PERIOD:
             self.reset()
 
     def reset(self):
-        self.mutated = [list(row) for row in self.original.entries]
+        self.mutations = Counter()
         self.selections_since_reset = 0
+
+
+def _sweep(size: int, positions, rng, best=None) -> SubmatrixChoice:
+    """`size` positions in distinct rows and columns, taken one at a time: each
+    drawn uniformly from the survivors (in row order), or from the ties that
+    `best` keeps of them, drawing only when there is more than one.
+    """
+    rows, cols = [], []
+    for _ in range(size):
+        alive = [ij for ij in positions if ij[0] not in rows and ij[1] not in cols]
+        if not alive:
+            raise SelectionFailedError("not enough nonzero entries survive")
+        if best:
+            alive = best(alive)
+        i, j = alive[rng.randrange(len(alive))] if not best or len(alive) > 1 else alive[0]
+        rows.append(i)
+        cols.append(j)
+    return SubmatrixChoice(tuple(rows), tuple(cols))
 
 
 def choose_submatrix_greedy(method: SelectionMethod, size: int, working: WorkingMatrix, rng,
                             order=None) -> SubmatrixChoice:
     """Greedy extremal-entry selection under a freshly randomized order.
 
-    Each nonzero entry is ranked by one int: its smallest packed monomial
-    under the order, or its largest for the *Largest methods.  Then, `size`
-    times: take the surviving entry of extremal rank (ties broken uniformly
-    at random), record its row and column, and delete both.  A pinned
+    Each nonzero entry is ranked by one int (`WorkingMatrix.keys`): its
+    smallest packed monomial under the order, or its largest for *Largest
+    (SmallestTerm, which first cuts each entry to that term, ranks alike).
+    Then, `size` times: take the surviving entry of extremal rank (ties
+    broken uniformly at random) and delete its row and column.  A pinned
     `order` replaces the random draw (its kind and length must match).
     """
     if method not in _GREEDY_METHODS:
@@ -218,46 +259,23 @@ def choose_submatrix_greedy(method: SelectionMethod, size: int, working: Working
         raise PolyError(f"pinned order kind {order.kind} does not match {method.value}")
     if order is not None and order.num_vars != M.ring.num_vars:
         raise PolyError("monomial length does not match order")
-    order = order or random_order(kind, M.ring.num_vars, rng)
-    use_mutated = method in _GREVLEX_METHODS
-    entries = working.mutated if use_mutated else M.entries
+    keys = working.keys(method, order or random_order(kind, M.ring.num_vars, rng))
     pick = max if method.value.endswith("Largest") else min
-    pack = order.packing.pack
 
-    # SmallestTerm literally replaces the entry by its smallest term first,
-    # which ranks identically.
-    keys = {
-        (i, j): pick(map(pack, e.terms))
-        for i, row in enumerate(entries)
-        for j, e in enumerate(row)
-        if e.terms
-    }
+    def best(alive):
+        key = pick(map(keys.__getitem__, alive))
+        return [ij for ij in alive if keys[ij] == key]
 
-    rows, cols = [], []
-    alive_rows = set(range(M.nrows))
-    alive_cols = set(range(M.ncols))
-    for _ in range(size):
-        candidates = [
-            (i, j) for (i, j) in keys if i in alive_rows and j in alive_cols
-        ]
-        if not candidates:
-            raise SelectionFailedError("not enough nonzero entries survive")
-        best_key = pick(keys[c] for c in candidates)
-        tied = sorted(c for c in candidates if keys[c] == best_key)
-        i, j = tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
-        rows.append(i)
-        cols.append(j)
-        alive_rows.discard(i)
-        alive_cols.discard(j)
-
-    choice = SubmatrixChoice(tuple(rows), tuple(cols))
-    if use_mutated:
+    choice = _sweep(size, keys, rng, best)
+    if kind == GREVLEX:
         working.mutate(choice, rng)
     return choice
 
 
-def choose_submatrix_random(method: SelectionMethod, size: int, M: PolyMatrix, rng) -> SubmatrixChoice:
+def choose_submatrix_random(method: SelectionMethod, size: int, working: WorkingMatrix,
+                            rng) -> SubmatrixChoice:
     """Uniform random index sets, or iterated random nonzero entries."""
+    M = working.original
     if size > min(M.nrows, M.ncols):
         raise SelectionFailedError("submatrix size exceeds matrix dimensions")
     if method == SelectionMethod.RANDOM:
@@ -266,24 +284,7 @@ def choose_submatrix_random(method: SelectionMethod, size: int, M: PolyMatrix, r
         return SubmatrixChoice(rows, cols)
     if method != SelectionMethod.RANDOM_NONZERO:
         raise PolyError(f"{method.value} is not a random method")
-    rows, cols = [], []
-    alive_rows = set(range(M.nrows))
-    alive_cols = set(range(M.ncols))
-    for _ in range(size):
-        candidates = sorted(
-            (i, j)
-            for i in alive_rows
-            for j in alive_cols
-            if not M[i, j].is_zero()
-        )
-        if not candidates:
-            raise SelectionFailedError("no nonzero entry survives")
-        i, j = candidates[rng.randrange(len(candidates))]
-        rows.append(i)
-        cols.append(j)
-        alive_rows.discard(i)
-        alive_cols.discard(j)
-    return SubmatrixChoice(tuple(rows), tuple(cols))
+    return _sweep(size, working.nonzero, rng)
 
 
 def find_point(J: Ideal, rng):
@@ -330,7 +331,7 @@ def choose_submatrix_points(size: int, M: PolyMatrix, J: Ideal, rng, point=None)
     """
     field = M.ring.field
     if not field.is_prime_field:
-        return choose_submatrix_random(SelectionMethod.RANDOM, size, M, rng)
+        return choose_submatrix_random(SelectionMethod.RANDOM, size, WorkingMatrix(M), rng)
     if point is None:
         point = find_point(J, rng)
         if point is None:
@@ -389,9 +390,6 @@ class MinorSelector:
 
     def next_choice(self, size: int) -> SubmatrixChoice:
         method = self.strategy.draw(self.rng)
-        return self.choice_by_method(method, size)
-
-    def choice_by_method(self, method: SelectionMethod, size: int) -> SubmatrixChoice:
         try:
             if method == SelectionMethod.POINTS:
                 ideal = self.points_ideal or Ideal([], self.M.ring)
@@ -400,15 +398,13 @@ class MinorSelector:
                 return choose_submatrix_greedy(method, size, self.working, self.rng)
         except SelectionFailedError:
             pass
-        if method == SelectionMethod.RANDOM:
-            return choose_submatrix_random(method, size, self.M, self.rng)
-        return self._fallback(size)
-
-    def _fallback(self, size: int) -> SubmatrixChoice:
-        try:
-            return choose_submatrix_random(SelectionMethod.RANDOM_NONZERO, size, self.M, self.rng)
-        except SelectionFailedError:
-            return choose_submatrix_random(SelectionMethod.RANDOM, size, self.M, self.rng)
+        if method != SelectionMethod.RANDOM:
+            try:
+                return choose_submatrix_random(SelectionMethod.RANDOM_NONZERO, size, self.working,
+                                               self.rng)
+            except SelectionFailedError:
+                pass
+        return choose_submatrix_random(SelectionMethod.RANDOM, size, self.working, self.rng)
 
 
 def choose_good_minors(count: int, size: int, M: PolyMatrix, strategy: StrategyTable,

@@ -1,6 +1,7 @@
 """Selection methods, strategy tables, point search, and chooseGoodMinors."""
 
 import random
+from operator import add, le
 
 import pytest
 
@@ -25,13 +26,13 @@ from polyminors import (
     find_point,
     parse_strategy,
 )
-from polyminors.polylinalg import random_matrix
+from polyminors.polylinalg import SubmatrixChoice, random_matrix
 from polyminors.selection import (
     MUTATION_RESET_PERIOD,
     MinorSelector,
     SelectionFailedError,
 )
-from polyminors.polyring import PolyError
+from polyminors.polyring import PolyError, random_order
 
 
 class TestStrategyTable:
@@ -164,15 +165,21 @@ class TestMutation:
         rng = random.Random(0)
         choice = choose_submatrix_greedy(
             SelectionMethod.GREVLEX_SMALLEST, 2, working, rng)
-        i, j = choice.rows[0], choice.cols[0]
-        assert working.mutated[i][j].total_degree() == \
-            monomial_matrix[i, j].total_degree() + 1
+        used = [ij for ij in zip(choice.rows, choice.cols) if not monomial_matrix[ij].is_zero()]
+        assert used
+        assert working.mutations == {ij: 1 for ij in used}
+        order = MonomialOrder(GREVLEX, (1, 0))
+        before = WorkingMatrix(monomial_matrix).keys(SelectionMethod.GREVLEX_LARGEST, order)
+        after = working.keys(SelectionMethod.GREVLEX_LARGEST, order)
+        top = order.packing.pack((0, 1))
+        assert after == {ij: k + top * (ij in used) for ij, k in before.items()}
 
     def test_lex_does_not_mutate(self, monomial_matrix):
         working = WorkingMatrix(monomial_matrix)
         choose_submatrix_greedy(
             SelectionMethod.LEX_SMALLEST, 2, working, random.Random(0))
-        assert working.mutated == [list(r) for r in monomial_matrix.entries]
+        assert not working.mutations
+        assert working.selections_since_reset == 0
 
     def test_reset_after_period(self, monomial_matrix):
         working = WorkingMatrix(monomial_matrix)
@@ -181,14 +188,173 @@ class TestMutation:
             choose_submatrix_greedy(
                 SelectionMethod.GREVLEX_SMALLEST, 2, working, rng)
         assert working.selections_since_reset == 0
-        assert working.mutated == [list(r) for r in monomial_matrix.entries]
+        assert not working.mutations
+
+
+def _product(a, b, p):
+    """The product of two term dicts, with no exponent limit."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c % p if p else c for m, c in out.items() if (c % p if p else c)}
+
+
+class ExplicitMutation:
+    """The mutated copy built term by term: each used entry times l, no exponent limit.
+
+    A reference for WorkingMatrix's keys and for choose_submatrix_greedy's
+    picks, drawing from the rng exactly as the products' construction does.
+    """
+
+    def __init__(self, M):
+        self.M = M
+        self.reset()
+
+    def reset(self):
+        self.mutated = [[dict(e.terms) for e in row] for row in self.M.entries]
+        self.since = 0
+
+    def mutate(self, choice, rng):
+        field, n = self.M.ring.field, self.M.ring.num_vars
+        for i, j in zip(choice.rows, choice.cols):
+            if not self.mutated[i][j]:
+                continue
+            l = {(0,) * n: field.random_nonzero(rng)}
+            for v in range(n):
+                l[tuple(int(w == v) for w in range(n))] = field.random_nonzero(rng)
+            self.mutated[i][j] = _product(self.mutated[i][j], l, field.characteristic)
+        self.since += 1
+        if self.since >= MUTATION_RESET_PERIOD:
+            self.reset()
+
+    def keys(self, method, order):
+        grevlex = method.value.startswith("GRevLex")
+        entries = self.mutated if grevlex else [[e.terms for e in row] for row in self.M.entries]
+        pick = max if method.value.endswith("Largest") else min
+        return {(i, j): pick(map(order.packing.pack, e))
+                for i, row in enumerate(entries) for j, e in enumerate(row) if e}
+
+    def choose(self, method, size, rng):
+        kind = GREVLEX if method.value.startswith("GRevLex") else LEX
+        keys = self.keys(method, random_order(kind, self.M.ring.num_vars, rng))
+        pick = max if method.value.endswith("Largest") else min
+        rows, cols = [], []
+        for _ in range(size):
+            candidates = [(i, j) for (i, j) in keys if i not in rows and j not in cols]
+            if not candidates:
+                raise SelectionFailedError("not enough nonzero entries survive")
+            best = pick(keys[c] for c in candidates)
+            tied = sorted(c for c in candidates if keys[c] == best)
+            i, j = tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
+            rows.append(i)
+            cols.append(j)
+        choice = SubmatrixChoice(tuple(rows), tuple(cols))
+        if kind == GREVLEX:
+            self.mutate(choice, rng)
+        return choice
+
+
+GREEDY = [m for m in SelectionMethod if m.value.startswith(("Lex", "GRevLex"))]
+
+
+def _random_matrix(rng, field):
+    """2..4 x 2..4 over `field` in 1..4 variables: a fifth of the entries zero,
+    the rest random supports, some with an exponent near the limit."""
+    n, nrows, ncols = rng.randint(1, 4), rng.randint(2, 4), rng.randint(2, 4)
+    ring = PolyRing(field, [f"x{v}" for v in range(n)])
+
+    def entry():
+        terms = []
+        if rng.random() > 0.2:
+            for _ in range(rng.randint(1, 8)):
+                mono = [rng.randrange(4) for _ in range(n)]
+                if rng.random() < 0.1:
+                    mono[rng.randrange(n)] = 65535 - rng.randrange(3)
+                terms.append((field.random_nonzero(rng), mono))
+        return ring.from_terms(terms)
+
+    return PolyMatrix(ring, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+
+
+class TestKeysOracle:
+    """Counted mutation against the mutated copy built by explicit products."""
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=["GF101", "QQ"])
+    def test_keys_and_picks_match_explicit_products(self, field):
+        for seed in range(30):
+            rng = random.Random(seed)
+            M = _random_matrix(rng, field)
+            working, explicit = WorkingMatrix(M), ExplicitMutation(M)
+            n, size_cap = M.ring.num_vars, min(M.nrows, M.ncols)
+            for _ in range(15):
+                for kind in (LEX, GREVLEX):
+                    order = random_order(kind, n, rng)
+                    for method in GREEDY:
+                        if method.value.startswith(kind):
+                            assert working.keys(method, order) == explicit.keys(method, order)
+                seed_step = rng.getrandbits(32)
+                a, b = random.Random(seed_step), random.Random(seed_step)
+                if rng.random() < 0.5:
+                    rows = rng.sample(range(M.nrows), rng.randint(1, size_cap))
+                    choice = SubmatrixChoice(tuple(rows), tuple(rng.sample(range(M.ncols), len(rows))))
+                    working.mutate(choice, a)
+                    explicit.mutate(choice, b)
+                else:
+                    method, size = rng.choice(GREEDY), rng.randint(1, size_cap)
+                    try:
+                        expected = explicit.choose(method, size, b)
+                    except SelectionFailedError:
+                        with pytest.raises(SelectionFailedError):
+                            choose_submatrix_greedy(method, size, working, a)
+                        continue
+                    assert choose_submatrix_greedy(method, size, working, a) == expected
+                assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=["GF101", "QQ"])
+    def test_supports_are_the_divisibility_extremal_terms(self, field):
+        def divides(a, b):
+            return all(map(le, a, b))
+
+        for seed in range(30):
+            M = _random_matrix(random.Random(seed), field)
+            working = WorkingMatrix(M)
+            minimal, maximal = working.extremal(False), working.extremal(True)
+            nonzero = {(i, j) for i in range(M.nrows) for j in range(M.ncols) if M[i, j].terms}
+            assert set(minimal) == set(maximal) == nonzero
+            for ij in nonzero:
+                terms = list(M[ij].terms)
+                assert sorted(minimal[ij]) == sorted(
+                    t for t in terms if not any(u != t and divides(u, t) for u in terms))
+                assert sorted(maximal[ij]) == sorted(
+                    t for t in terms if not any(u != t and divides(t, u) for u in terms))
+
+    @pytest.mark.parametrize("method, corner", [
+        (SelectionMethod.GREVLEX_SMALLEST, "x^65531 + 1"),
+        (SelectionMethod.GREVLEX_LARGEST, "x^65531 + 1"),
+        (SelectionMethod.GREVLEX_LARGEST, "x^65535 + y"),
+    ], ids=["smallest", "largest", "largest-at-the-limit"])
+    def test_mutation_past_the_exponent_limit(self, method, corner):
+        # The corner entry is picked on every call, so its explicit products
+        # reach x^65536 within MUTATION_RESET_PERIOD calls.  Counted mutation
+        # never builds them and still picks as they would.
+        ring = PolyRing(GF(101), ["x", "y"])
+        M = PolyMatrix(ring, [[ring.parse(e) for e in row]
+                              for row in ([corner, "x"], ["y", "x*y"])])
+        working, explicit = WorkingMatrix(M), ExplicitMutation(M)
+        for _ in range(2 * MUTATION_RESET_PERIOD):
+            expected = explicit.choose(method, 2, random.Random(0))
+            assert expected.rows[expected.cols.index(0)] == 0
+            assert choose_submatrix_greedy(method, 2, working, random.Random(0)) == expected
 
 
 class TestRandomMethods:
     def test_random_shape(self):
         ring = PolyRing(QQ, ["x"])
         M = random_matrix(ring, 4, 5, 1, random.Random(0))
-        choice = choose_submatrix_random(SelectionMethod.RANDOM, 3, M, random.Random(1))
+        choice = choose_submatrix_random(
+            SelectionMethod.RANDOM, 3, WorkingMatrix(M), random.Random(1))
         assert choice.size == 3
 
     def test_random_nonzero_avoids_zeros(self):
@@ -198,7 +364,7 @@ class TestRandomMethods:
         M = PolyMatrix(ring, [[x, z, z], [z, x, z], [z, z, x]])
         for seed in range(10):
             choice = choose_submatrix_random(
-                SelectionMethod.RANDOM_NONZERO, 3, M, random.Random(seed))
+                SelectionMethod.RANDOM_NONZERO, 3, WorkingMatrix(M), random.Random(seed))
             assert sorted(choice.rows) == sorted(choice.cols)
 
     def test_random_nonzero_failure(self):
@@ -207,7 +373,7 @@ class TestRandomMethods:
         M = PolyMatrix(ring, [[z, z], [z, z]])
         with pytest.raises(SelectionFailedError):
             choose_submatrix_random(
-                SelectionMethod.RANDOM_NONZERO, 1, M, random.Random(0))
+                SelectionMethod.RANDOM_NONZERO, 1, WorkingMatrix(M), random.Random(0))
 
 
 class TestPoints:
