@@ -13,6 +13,7 @@ import secrets
 import sys
 import time
 import traceback
+from itertools import combinations
 
 from .fastcheck import (
     MinorLoopConfig,
@@ -22,7 +23,14 @@ from .fastcheck import (
     regular_in_codimension,
 )
 from .gbasis import RingPresentation, dim_quotient
-from .polylinalg import DET_BAREISS, DET_COFACTOR, DET_RECURSIVE, determinant, recursive_minors
+from .polylinalg import (
+    DET_BAREISS,
+    DET_COFACTOR,
+    DET_RECURSIVE,
+    SubmatrixChoice,
+    determinant,
+    recursive_minors,
+)
 from .polyring import PolyError
 from .problemfile import parse_problem_file
 from .selection import choose_good_minors, parse_strategy
@@ -227,10 +235,6 @@ def main(argv=None) -> int:
 
 
 def _all_choices(M, size):
-    from itertools import combinations
-
-    from .polylinalg import SubmatrixChoice
-
     if size < 1 or size > min(M.nrows, M.ncols):
         raise PolyError(f"minor size {size} out of range")
     return [

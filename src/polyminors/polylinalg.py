@@ -6,19 +6,17 @@ import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
 from .polyring import (
-    LEX,
-    MAX_EXPONENT,
     PolyError,
     Polynomial,
     PolyRing,
-    _max_exponents,
+    _add_product,
+    _packed_line,
+    _polynomial,
     exponent_overflow_error,
-    identity_order,
     random_polynomial,
 )
 
@@ -57,50 +55,6 @@ class SubmatrixChoice:
     def key(self):
         """Canonical dedup key: sorted row and column index tuples."""
         return (tuple(sorted(self.rows)), tuple(sorted(self.cols)))
-
-
-def _packed_line(packing, entries, p):
-    """(scale, [(top word, [(word, int coefficient)])]) of a matrix row or column.
-
-    Words are `packing.pack`'s; under a Lex packing, each entry's top word
-    holds its largest exponent per variable.  Over QQ, scale is the common
-    denominator of the line's coefficients and the ints are numerators over
-    it; over F_p it is 1.
-    """
-    pack = packing.pack
-    scale = 1 if p else math.lcm(*[c.denominator for e in entries for c in e.terms.values()])
-    return scale, [
-        (
-            pack(_max_exponents(e.terms)) if e.terms else 0,
-            [(pack(m), c if p else c.numerator * (scale // c.denominator)) for m, c in e.terms.items()],
-        )
-        for e in entries
-    ]
-
-
-def _add_product(acc, a, b, guard: int, sign: int = 1):
-    """acc[word] += sign * a * b for entries a, b = (top word, [(word, int)]).
-
-    Fields hold exponents below MAX_EXPONENT, so two top words cannot carry
-    past a guard bit; nonzero entries whose top words sum into one raise
-    ExponentOverflowError, as the Polynomial product does.
-    """
-    (top_a, a), (top_b, b) = a, b
-    if a and b:
-        if (top_a + top_b) & guard:
-            raise exponent_overflow_error()
-        for wa, ca in a:
-            ca *= sign
-            for wb, cb in b:
-                acc[wa + wb] += ca * cb
-
-
-def _polynomial(ring: PolyRing, unpack, terms, d: int) -> Polynomial:
-    """The Polynomial of (word, int) terms: each reduced mod p, or over QQ divided by d."""
-    p = ring.field.characteristic
-    if p:
-        return Polynomial(ring, {unpack(w): r for w, c in terms if (r := c % p)})
-    return Polynomial(ring, {unpack(w): Fraction(c, d) for w, c in terms if c})
 
 
 class PolyMatrix:
@@ -172,7 +126,7 @@ class PolyMatrix:
             raise MatrixShapeError("incompatible shapes for product")
         ring = self.ring
         p = ring.field.characteristic
-        packing = identity_order(LEX, ring.num_vars).packing
+        packing = ring.word_packing
         guard = packing.guard
         cols = [_packed_line(packing, col, p) for col in zip(*other.entries)]
         rows = []
@@ -236,7 +190,7 @@ def _bareiss(M: PolyMatrix, full_pivot: bool):
     """
     ring = M.ring
     p = ring.field.characteristic
-    packing = identity_order(LEX, ring.num_vars).packing
+    packing = ring.word_packing
     guard, word_lcm = packing.guard, packing.word_lcm
     scale = 1
     a = []
@@ -333,8 +287,8 @@ def det_bareiss(M: PolyMatrix) -> Polynomial:
     rank, sign, a, scale = _bareiss(M, full_pivot=False)
     if rank < M.nrows:
         return M.ring.zero()
-    unpack = identity_order(LEX, M.ring.num_vars).packing.unpack
-    return _polynomial(M.ring, unpack, [(w, sign * c) for w, c in a[-1][-1][1]], scale)
+    terms = [(w, sign * c) for w, c in a[-1][-1][1]]
+    return _polynomial(M.ring, M.ring.word_packing.unpack, terms, scale)
 
 
 def det_cofactor(M: PolyMatrix) -> Polynomial:
@@ -389,12 +343,14 @@ def recursive_minors(k: int, M: PolyMatrix, table_cap: int = DEFAULT_TABLE_CAP):
     entries; only (row set, column set) pairs that feed some target are ever
     computed.  Output order is lexicographic in (row set, column set).
 
-    The table holds plain ints.  Each entry is a list of (packed monomial,
-    coefficient) pairs under the ring's canonical packing, which is linear,
-    so a product's monomial is one int add.  Over QQ every row is first
-    scaled by the lcm of its denominators, and each output minor is divided
-    by the product of its rows' scales, one Fraction per term.  Over GF(p)
-    each minor's sums are reduced mod p once.
+    The table holds plain ints.  Each entry is a (top word, [(word, int)])
+    pair under the ring's word packing, the shape `_add_product` multiplies,
+    so a level's minor is one signed product per row into a single dict.
+    ExponentOverflowError is raised only where an entry times a sub-minor
+    passes the exponent limit.  Over QQ every row is first scaled by the lcm
+    of its denominators, and each output minor is divided by the product of
+    its rows' scales, one Fraction per term.  Over GF(p) each minor's sums
+    are reduced mod p once.
     """
     if k < 1 or k > min(M.nrows, M.ncols):
         raise PolyError(f"minor size {k} out of range")
@@ -423,63 +379,38 @@ def recursive_minors(k: int, M: PolyMatrix, table_cap: int = DEFAULT_TABLE_CAP):
                 f"predicted minor table exceeds {table_cap} entries"
             )
 
-    _check_minor_exponents(k, M)
     ring = M.ring
     p = ring.field.characteristic
-    packing = ring.canonical_order.packing
-    scales = []
-    # signed[r][c] = (terms of M[r, c], their negation): the cofactor sign of
-    # the row's position i in a minor is signed[r][c][i & 1].
-    signed = []
+    packing = ring.word_packing
+    guard, word_lcm = packing.guard, packing.word_lcm
+    scales, lines = [], []
     for row in M.entries:
         scale, line = _packed_line(packing, row, p)
         scales.append(scale)
-        signed.append([(terms, [(m, -c) for m, c in terms]) for _, terms in line])
+        lines.append(line)
 
     def expand(rows, cols):
         c0 = cols[0]
         tail = cols[1:]
         acc = defaultdict(int)
         for i, r in enumerate(rows):
-            terms = signed[r][c0][i & 1]
-            if not terms:
-                continue
             sub = table[(rows[:i] + rows[i + 1 :], tail)]
-            for m1, c1 in terms:
-                for m2, c2 in sub:
-                    acc[m1 + m2] += c1 * c2
+            _add_product(acc, lines[r][c0], sub, guard, -1 if i & 1 else 1)
         if p:
-            return [(m, v) for m, c in acc.items() if (v := c % p)]
-        return [(m, c) for m, c in acc.items() if c]
+            terms = [(w, v) for w, c in acc.items() if (v := c % p)]
+        else:
+            terms = [(w, c) for w, c in acc.items() if c]
+        return reduce(word_lcm, [w for w, _ in terms], 0), terms
 
     # Level 1 is the entries; only the just-finished level feeds the next one.
-    table = {
-        ((r,), (c,)): terms
-        for r, row in enumerate(signed)
-        for c, (terms, _) in enumerate(row)
-    }
+    table = {((r,), (c,)): entry for r, line in enumerate(lines) for c, entry in enumerate(line)}
     for level in range(2, k + 1):
         table = {key: expand(*key) for key in needed[level]}
 
     return [
-        _polynomial(ring, packing.unpack, table[key], math.prod(scales[r] for r in key[0]))
+        _polynomial(ring, packing.unpack, table[key][1], math.prod(scales[r] for r in key[0]))
         for key in targets
     ]
-
-
-def _check_minor_exponents(k: int, M: PolyMatrix):
-    """Raise ExponentOverflowError unless every k x k minor's exponents fit the packing.
-
-    A minor's exponent in a variable is at most the sum of the k largest row
-    maxima of that variable, so packed adds cannot carry into the next field.
-    The bound ignores cancellation and column clashes, so it may refuse a
-    matrix whose minors would in fact fit.
-    """
-    n = M.ring.num_vars
-    maxima = [_max_exponents([m for e in row for m in e.terms]) or [0] * n for row in M.entries]
-    for column in zip(*maxima):
-        if sum(sorted(column)[-k:]) >= MAX_EXPONENT:
-            raise exponent_overflow_error()
 
 
 def numeric_rank(grid, field):

@@ -8,12 +8,15 @@ returns.  A monomial order has one encoding, its ExponentPacking: each
 monomial becomes one int, comparing ints is the order, multiplication an add
 and divisibility one mask test.  Leading terms, printing, the greedy ranking
 and the Groebner core's division loop in `gbasis` all order monomials by
-these ints.
+these ints.  Every product of two polynomials, in `Polynomial.__mul__` and
+in the matrix kernels of `polylinalg`, is one `_add_product` on the ring's
+Lex exponent words (`PolyRing.word_packing`).
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -296,10 +299,49 @@ def _max_exponents(terms) -> list:
     return [max(column) for column in zip(*terms)]
 
 
-def _over_common_denominator(terms):
-    """(d, [(monomial, integer numerator)]) with each coefficient = numerator / d."""
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+def _packed_line(packing, entries, p):
+    """(scale, [(top word, [(word, int coefficient)])]) of a matrix row or column.
+
+    Words are `packing.pack`'s; under a Lex packing, each entry's top word
+    holds its largest exponent per variable.  Over QQ, scale is the common
+    denominator of the line's coefficients and the ints are numerators over
+    it; over F_p it is 1.
+    """
+    pack = packing.pack
+    scale = 1 if p else lcm(*[c.denominator for e in entries for c in e.terms.values()])
+    return scale, [
+        (
+            pack(_max_exponents(e.terms)) if e.terms else 0,
+            [(pack(m), c if p else c.numerator * (scale // c.denominator)) for m, c in e.terms.items()],
+        )
+        for e in entries
+    ]
+
+
+def _add_product(acc, a, b, guard: int, sign: int = 1):
+    """acc[word] += sign * a * b for entries a, b = (top word, [(word, int)]).
+
+    Fields hold exponents below MAX_EXPONENT, so two top words cannot carry
+    past a guard bit; nonzero entries whose top words sum into one raise
+    ExponentOverflowError.  This is the package's one loop that multiplies
+    two polynomials' terms.
+    """
+    (top_a, a), (top_b, b) = a, b
+    if a and b:
+        if (top_a + top_b) & guard:
+            raise exponent_overflow_error()
+        for wa, ca in a:
+            ca *= sign
+            for wb, cb in b:
+                acc[wa + wb] += ca * cb
+
+
+def _polynomial(ring: PolyRing, unpack, terms, d: int) -> Polynomial:
+    """The Polynomial of (word, int) terms: each reduced mod p, or over QQ divided by d."""
+    p = ring.field.characteristic
+    if p:
+        return Polynomial(ring, {unpack(w): r for w, c in terms if (r := c % p)})
+    return Polynomial(ring, {unpack(w): Fraction(c, d) for w, c in terms if c})
 
 
 class PolyRing:
@@ -313,6 +355,9 @@ class PolyRing:
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         # Internal canonical order: GRevLex with the identity permutation.
         self.canonical_order = identity_order(GREVLEX, len(self.variables))
+        # Lex exponent words, the packing of every polynomial product
+        # (`_add_product`): a product's word is the sum of its factors' words.
+        self.word_packing = identity_order(LEX, len(self.variables)).packing
 
     @property
     def num_vars(self) -> int:
@@ -465,31 +510,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scalar_mul(other)
         self._check_ring(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return self.ring.zero()
-        # A product's largest exponent in variable v is the sum of the
-        # operands' largest exponents in v, so one test covers every pair.
-        if max(map(add, _max_exponents(a), _max_exponents(b)), default=0) >= MAX_EXPONENT:
-            raise exponent_overflow_error()
-        p = self.ring.field.characteristic
-        if p:
-            a_items, b_items = a.items(), list(b.items())
-        else:
-            # Over QQ, multiply integer numerators over each operand's common
-            # denominator and divide once per output term.
-            da, a_items = _over_common_denominator(a)
-            db, b_items = _over_common_denominator(b)
-        out = {}
-        get = out.get
-        for m1, c1 in a_items:
-            for m2, c2 in b_items:
-                m = tuple(map(add, m1, m2))
-                out[m] = get(m, 0) + c1 * c2
-        if p:
-            return Polynomial(self.ring, {m: r for m, c in out.items() if (r := c % p)})
-        d = da * db
-        return Polynomial(self.ring, {m: Fraction(c, d) for m, c in out.items() if c})
+        ring = self.ring
+        packing = ring.word_packing
+        p = ring.field.characteristic
+        scale_a, [a] = _packed_line(packing, (self,), p)
+        scale_b, [b] = _packed_line(packing, (other,), p)
+        acc = defaultdict(int)
+        _add_product(acc, a, b, packing.guard)
+        return _polynomial(ring, packing.unpack, acc.items(), scale_a * scale_b)
 
     def __rmul__(self, other):
         return self.scalar_mul(other)

@@ -8,7 +8,7 @@ from enum import Enum
 
 from .gbasis import Ideal
 from .polylinalg import PolyMatrix, SubmatrixChoice, determinant, numeric_rank
-from .polyring import GREVLEX, LEX, PolyError, identity_order, random_order
+from .polyring import GREVLEX, LEX, PolyError, random_order
 
 MUTATION_RESET_PERIOD = 5
 DEFAULT_POINT_ATTEMPTS = 2000
@@ -178,7 +178,7 @@ class WorkingMatrix:
         so one sweep finds them: a guard test on exponent words per pair.
         """
         if largest not in self._extremal:
-            packing = identity_order(LEX, self.original.ring.num_vars).packing
+            packing = self.original.ring.word_packing
             guard, sign = packing.guard, -1 if largest else 1
             table = self._extremal[largest] = {}
             for ij in self.nonzero:

@@ -66,6 +66,15 @@ class TestMinors:
         code = main(["--format", "json", "minors", matrix_file, "--size", "9"])
         assert code == EXIT_ERROR
 
+    def test_recursive_at_the_exponent_limit(self, capsys, tmp_path):
+        # The column maxima sum past the limit, but no entry times a cofactor does.
+        path = tmp_path / "limit.pm"
+        path.write_text("ring: 101; x, y\nmatrix: [[x^40000, 1], [x^40000, 1]]\n")
+        code, rep = run_json(
+            capsys, ["--format", "json", "minors", str(path), "--size", "2", "--det", "recursive"])
+        assert code == EXIT_TRUE
+        assert rep["result"] == 0
+
 
 class TestChooseMinors:
     def test_basic(self, capsys, matrix_file):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -28,17 +29,15 @@ from polyminors.polylinalg import (
     MatrixShapeError,
     MinorTableTooLargeError,
     _divide,
-    _packed_line,
     identity_matrix,
     random_matrix,
 )
 from polyminors.polyring import (
-    LEX,
     MAX_EXPONENT,
     ExponentOverflowError,
     PolyError,
     Polynomial,
-    identity_order,
+    _packed_line,
     random_polynomial,
 )
 from tests.test_polyring import assert_canonical, fractional_polynomial
@@ -50,6 +49,30 @@ def brute_force_minors(k, M):
         for r in combinations(range(M.nrows), k)
         for c in combinations(range(M.ncols), k)
     ]
+
+
+def eliminated_determinant(grid, field):
+    """The determinant of a square grid of field elements by Gaussian elimination.
+
+    Plain Fraction or mod-p int arithmetic, sharing no code with the
+    polynomial product.
+    """
+    p = field.characteristic
+    grid = [list(row) for row in grid]
+    det = 1
+    for k in range(len(grid)):
+        pivot = next((i for i in range(k, len(grid)) if grid[i][k]), None)
+        if pivot is None:
+            return field.zero
+        if pivot != k:
+            grid[k], grid[pivot] = grid[pivot], grid[k]
+            det = -det
+        det *= grid[k][k]
+        inv = pow(grid[k][k], p - 2, p) if p else 1 / grid[k][k]
+        for i in range(k + 1, len(grid)):
+            factor = grid[i][k] * inv
+            grid[i] = [(a - factor * b) % p if p else a - factor * b for a, b in zip(grid[i], grid[k])]
+    return det % p if p else Fraction(det)
 
 
 class TestSubmatrixChoice:
@@ -113,12 +136,23 @@ class TestMatrixProduct:
     @settings(max_examples=300, deadline=None)
     @given(matrix_pairs())
     def test_product_is_the_sum_of_polynomial_products(self, pair):
-        # Entry (i, j) is sum_k A[i, k] * B[k, j] formed with Polynomial
-        # arithmetic; the product overflows exactly when one of those does.
+        # Entry (i, j) is sum_k A[i, k] * B[k, j], summed term pair by term
+        # pair through from_terms, a path independent of the product kernel
+        # that Polynomial.__mul__ shares.  from_terms rejects an exponent of
+        # MAX_EXPONENT or more, and the product overflows exactly when one
+        # term pair does.
         A, B = pair
         try:
             expected = [
-                [sum((A[i, k] * B[k, j] for k in range(A.ncols)), A.ring.zero()) for j in range(B.ncols)]
+                [
+                    A.ring.from_terms(
+                        (ca * cb, tuple(map(add, ma, mb)))
+                        for k in range(A.ncols)
+                        for ma, ca in A[i, k].terms.items()
+                        for mb, cb in B[k, j].terms.items()
+                    )
+                    for j in range(B.ncols)
+                ]
                 for i in range(A.nrows)
             ]
         except ExponentOverflowError:
@@ -182,6 +216,48 @@ class TestDeterminants:
             d3 = determinant(M, "recursive")
             assert d1 == d2 == d3, f"engines disagree on trial {trial}"
             assert_canonical(d1)
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=["GF101", "QQ"])
+    def test_engines_agree_at_the_exponent_limit(self, field):
+        # The first column's maxima sum past MAX_EXPONENT - 1, but no entry
+        # times a cofactor does, so every engine computes the determinant.
+        ring = PolyRing(field, ["x", "y"])
+        for rows, det in [
+            ([["x^40000", "1"], ["x^40000", "1"]], "0"),
+            ([["x^40000", "y"], ["x", "1"]], "x^40000 - x*y"),
+        ]:
+            M = PolyMatrix(ring, [[ring.parse(e) for e in row] for row in rows])
+            for engine in ("bareiss", "cofactor", "recursive"):
+                assert determinant(M, engine) == ring.parse(det), engine
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=["GF101", "QQ"])
+    def test_minors_match_evaluated_determinants(self, field):
+        # Every engine multiplies through one product kernel, so agreement
+        # between engines cannot catch a fault in it.  Evaluation and
+        # eliminated_determinant share no code with that kernel.
+        rng = random.Random(f"evaluated-{field}")
+        ring = PolyRing(field, ["x", "y", "z"])
+        draw = fractional_polynomial if field == QQ else random_polynomial
+        for trial in range(6):
+            nrows, ncols = rng.choice([(3, 3), (3, 4), (4, 4)])
+            M = PolyMatrix(ring, [
+                [draw(ring, 2, rng) if rng.random() < 0.85 else ring.zero() for _ in range(ncols)]
+                for _ in range(nrows)
+            ])
+            points = [[field.random_element(rng) for _ in range(3)] for _ in range(3)]
+            for k in range(1, nrows + 1):
+                choices = [SubmatrixChoice(r, c) for r in combinations(range(nrows), k)
+                           for c in combinations(range(ncols), k)]
+                minors = {
+                    "bareiss": [det_bareiss(M.submatrix(c)) for c in choices],
+                    "cofactor": [det_cofactor(M.submatrix(c)) for c in choices],
+                    "recursive": recursive_minors(k, M),
+                }
+                for point in points:
+                    expected = [eliminated_determinant(M.submatrix(c).evaluate(point), field)
+                                for c in choices]
+                    for engine, values in minors.items():
+                        assert [m.evaluate(point) for m in values] == expected, (engine, trial, k)
 
     def test_row_swap_flips_sign(self):
         ring = PolyRing(QQ, ["x", "y"])
@@ -257,7 +333,7 @@ def kernel_quotient(f, g):
     """
     ring = f.ring
     p = ring.field.characteristic
-    packing = identity_order(LEX, ring.num_vars).packing
+    packing = ring.word_packing
     (f_scale, [(_, num)]), (g_scale, [(top, den)]) = (
         _packed_line(packing, [f], p), _packed_line(packing, [g], p))
     assert f_scale == g_scale == 1

@@ -1,8 +1,10 @@
 """The problem-file grammar: blocks, comments, continuations, error reporting."""
 
+import pickle
+
 import pytest
 
-from polyminors import parse_problem_text
+from polyminors import det_bareiss, parse_problem_text, recursive_minors
 from polyminors.problemfile import ProblemFileError
 from tests.conftest import SEC51_GENERATORS
 
@@ -38,6 +40,30 @@ def test_complex_block():
         "ring: 0; x, y\ncomplex: d1=[[x, y]]; d2=[[-1*y], [x]]\n"
     )
     assert problem.complex.length == 2
+
+
+@pytest.mark.parametrize("characteristic", [0, 101])
+def test_parsed_problem_survives_pickling(characteristic):
+    # The benchmark runner unpickles a copy of the parsed problems every round.
+    problem = parse_problem_text(
+        f"ring: {characteristic}; x, y, z\n"
+        "ideal: x^2 - y*z; 1/2*x*y + z^3\n"
+        "matrix: [[x, 1/3*y^2, z], [y*z, x + 1, 2/5*x*z], [z^2, 3, x*y - z]]\n"
+        "complex: d1=[[x, y]]; d2=[[-1*y], [x]]\n"
+    )
+    copy = pickle.loads(pickle.dumps(problem))
+    assert copy.ring == problem.ring
+    assert copy.ideal.generators == problem.ideal.generators
+    assert copy.matrix == problem.matrix
+    assert copy.complex.maps == problem.complex.maps
+    M, C = problem.matrix, copy.matrix
+    assert det_bareiss(C) == det_bareiss(M)
+    for k in (1, 2, 3):
+        assert recursive_minors(k, C) == recursive_minors(k, M)
+    assert C * C.transpose() == M * M.transpose()
+    assert C[1, 1] * C[2, 2] == M[1, 1] * M[2, 2]
+    (d1, d2), (e1, e2) = problem.complex.maps, copy.complex.maps
+    assert e1 * e2 == d1 * d2
 
 
 @pytest.mark.parametrize(
