@@ -2,8 +2,9 @@
 
 `GroebnerState` is the only S-pair loop: a packed basis that `add` extends by
 the remainders of new generators and `complete` runs until it is a Groebner
-basis or its heads reach a codimension.  `buchberger`, `is_codim_at_least`
-and the checkpoints of `fastcheck.regular_in_codimension` all drive one.
+basis or its heads reach a codimension.  `buchberger`, `is_unit_ideal`,
+`is_codim_at_least` and the checkpoints of `fastcheck.regular_in_codimension`
+all drive one.
 
 Inside the division and S-pair loops every monomial is one int from the
 order's ExponentPacking (see `polyring`): comparing ints compares monomials, a
@@ -49,8 +50,10 @@ class _Entry:
     and `tail_c` hold the packed monomials below it and their coefficients.
     A packed m is divisible by the lead exactly when not (m - div) & guard,
     and a packed shift s times every term stays below MAX_EXPONENT exactly
-    when not (room - s) & guard; `room` comes from the packed terms, and
-    only the lead is unpacked, for its degree and support `mask`.  For the
+    when not (room - s) & guard.  The caller passes `room`: from exponent
+    tuples it already holds (`ExponentPacking.room`), or else from the packed
+    terms (`packed_room`).  Only the lead is unpacked, for its degree and
+    support `mask`.  For the
     pair update, `word` is the lead's exponent word (see ExponentPacking)
     and `excess` is the S-pair loop's degree bound (its sugar) minus the
     lead's degree.
@@ -58,8 +61,8 @@ class _Entry:
 
     __slots__ = ("div", "lm", "tail_m", "tail_c", "room", "word", "excess", "mask")
 
-    def __init__(self, terms: dict, field, packing, sugar: int = 0):
-        """From nonzero {packed monomial: coefficient} terms and their sugar."""
+    def __init__(self, terms: dict, field, packing, room: int, sugar: int = 0):
+        """From nonzero {packed monomial: coefficient} terms, their headroom and their sugar."""
         lm = max(terms)
         inv = field.inv(terms[lm])
         p = field.characteristic
@@ -68,7 +71,7 @@ class _Entry:
         tail = [m for m in terms if m != lm]
         self.tail_m = tuple(tail)
         self.tail_c = tuple([terms[m] * inv % p for m in tail] if p else [terms[m] * inv for m in tail])
-        self.room = packing.packed_room(terms)
+        self.room = room
         self.word = packing.word(lm)
         lead = packing.unpack(lm)
         self.excess = sugar - sum(lead)
@@ -150,7 +153,8 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = None) -> Polynomial
     if p.ring.num_vars != order.num_vars:
         raise PolyError("monomial length does not match order")
     packing = order.packing
-    prep = [_Entry({packing.pack(m): c for m, c in g.terms.items()}, g.ring.field, packing)
+    prep = [_Entry({packing.pack(m): c for m, c in g.terms.items()}, g.ring.field, packing,
+                   packing.room(g.terms))
             for g in basis if g.terms]
     if not prep or p.is_zero():
         return p
@@ -222,16 +226,17 @@ class GroebnerState:
         """Join each polynomial's nonzero remainder modulo the entries before the call.
 
         Reduction is linear, so a member of the ideal of a complete basis
-        joins nothing.  A remainder joins with its total degree as its sugar.
+        joins nothing.  A remainder joins with its total degree as its sugar,
+        and its headroom comes from the same exponent tuples.
         """
         packing, field = self.order.packing, self.ring.field
         inputs = [({packing.pack(m): c for m, c in g.terms.items()}, g.terms) for g in polys]
         if self.entries:  # with none, each input is its own remainder and keeps its tuples
             rems = [self._reduce(terms) for terms, _ in inputs]
-            inputs = [(rem, map(packing.unpack, rem)) for rem in rems]
+            inputs = [(rem, list(map(packing.unpack, rem))) for rem in rems]
         for terms, monos in inputs:
             if terms:
-                self._join(_Entry(terms, field, packing, max(map(sum, monos))))
+                self._join(_Entry(terms, field, packing, packing.room(monos), max(map(sum, monos))))
 
     def _join(self, entry_h) -> bool:
         """Append an entry and update the pairs; True when its lead brings a new minimal support."""
@@ -329,7 +334,7 @@ class GroebnerState:
                                             field.characteristic))
             if not rem:
                 continue
-            entry = _Entry(rem, field, packing, pair_sugar)
+            entry = _Entry(rem, field, packing, packing.packed_room(rem), pair_sugar)
             if (self._join(entry) and codim_at_least is not None
                     and self.codim() >= codim_at_least):
                 return True
@@ -432,9 +437,18 @@ class Ideal:
 
 
 def is_unit_ideal(ideal: Ideal, order: MonomialOrder = None, s_pair_cap: int = DEFAULT_S_PAIR_CAP) -> bool:
-    """True iff 1 belongs to the ideal; the pair loop stops at once on a constant input."""
-    gb = ideal.groebner_basis(order, s_pair_cap)
-    return any(g.is_constant() and not g.is_zero() for g in gb)
+    """True iff 1 belongs to the ideal.
+
+    One `GroebnerState` of the generators is completed with at most
+    `s_pair_cap` pairs, raising BudgetExceededError past them.  Its pair loop
+    stops at the first nonzero constant, at once on a constant input, and the
+    answer is whether one joined: a lead with the empty support.  No basis is
+    reduced or cached.
+    """
+    state = GroebnerState(ideal.ring, order)
+    state.add(ideal.generators)
+    state.complete(s_pair_cap)
+    return 0 in state.supports
 
 
 def _head_supports(masks):

@@ -281,9 +281,15 @@ def _divide(num: dict, divisor, p: int, guard: int) -> dict:
 
 
 def det_bareiss(M: PolyMatrix) -> Polynomial:
-    """Exact determinant by fraction-free (Bareiss) elimination with a column pivot search."""
+    """Exact determinant by fraction-free (Bareiss) elimination with a column pivot search.
+
+    A 1x1 matrix's determinant is its entry and a 0x0 matrix's is 1; neither
+    is eliminated.
+    """
     if not M.is_square():
         raise MatrixShapeError("determinant of a non-square matrix")
+    if M.nrows <= 1:
+        return M.entries[0][0] if M.nrows else M.ring.one()
     rank, sign, a, scale = _bareiss(M, full_pivot=False)
     if rank < M.nrows:
         return M.ring.zero()
@@ -300,6 +306,8 @@ def det_cofactor(M: PolyMatrix) -> Polynomial:
 
 def _cofactor(ring, rows) -> Polynomial:
     n = len(rows)
+    if n == 0:
+        return ring.one()
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -317,7 +325,7 @@ def _cofactor(ring, rows) -> Polynomial:
 
 
 def determinant(M: PolyMatrix, engine: str = DET_BAREISS) -> Polynomial:
-    """Dispatch to one of the three determinant engines."""
+    """Dispatch to one of the three determinant engines; a 0x0 matrix's determinant is 1."""
     if engine == DET_BAREISS:
         return det_bareiss(M)
     if engine == DET_COFACTOR:
@@ -325,7 +333,7 @@ def determinant(M: PolyMatrix, engine: str = DET_BAREISS) -> Polynomial:
     if engine == DET_RECURSIVE:
         if not M.is_square():
             raise MatrixShapeError("determinant of a non-square matrix")
-        return recursive_minors(M.nrows, M)[0]
+        return recursive_minors(M.nrows, M)[0] if M.nrows else M.ring.one()
     raise PolyError(f"unknown determinant engine {engine!r}")
 
 

@@ -258,6 +258,10 @@ class ExponentPacking:
         top = reduce(self.word_lcm, map(self.word, packed), 0)
         return self._top - self.from_word(top)[1]
 
+    def room(self, monos) -> int:
+        """`packed_room` of a polynomial given by its exponent tuples, from their column maxima."""
+        return self._top - self.pack(_max_exponents(monos))
+
     def word(self, packed: int) -> int:
         """The exponent word of a packed monomial.
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from enum import Enum
+from operator import mul
 
 from .gbasis import Ideal
 from .polylinalg import PolyMatrix, SubmatrixChoice, determinant, numeric_rank
@@ -179,23 +180,27 @@ class WorkingMatrix:
         """
         if largest not in self._extremal:
             packing = self.original.ring.word_packing
-            guard, sign = packing.guard, -1 if largest else 1
+            guard, weights, sign = packing.guard, packing.weights, -1 if largest else 1
             table = self._extremal[largest] = {}
             for ij in self.nonzero:
-                terms = sorted(self.original[ij].terms, key=sum, reverse=largest)
-                kept = []
-                for w, t in zip(map(packing.pack, terms), terms):
-                    w *= sign
-                    if all((w - u) & guard for u, _ in kept):
-                        kept.append((w, t))
-                table[ij] = [t for _, t in kept]
+                kept, words = [], []
+                for t in sorted(self.original[ij].terms, key=sum, reverse=largest):
+                    w = sign * sum(map(mul, t, weights))
+                    for u in words:
+                        if not (w - u) & guard:
+                            break
+                    else:
+                        words.append(w)
+                        kept.append(t)
+                table[ij] = kept
         return self._extremal[largest]
 
     def keys(self, method: SelectionMethod, order) -> dict:
         """{position: packed smallest, or largest, term} of each nonzero entry, mutated."""
         largest = method.value.endswith("Largest")
-        pick, pack = max if largest else min, order.packing.pack
-        keys = {ij: pick(map(pack, terms)) for ij, terms in self.extremal(largest).items()}
+        pick, weights = max if largest else min, order.packing.weights
+        keys = {ij: pick([sum(map(mul, t, weights)) for t in terms])
+                for ij, terms in self.extremal(largest).items()}
         if method == SelectionMethod.GREVLEX_LARGEST:
             # Counts stay below MUTATION_RESET_PERIOD, far inside the 17-bit fields.
             top = order.packing.weights[order.permutation[0]]

@@ -34,7 +34,8 @@ from polyminors import (
     symbolic_rank,
 )
 from polyminors import fastcheck, gbasis
-from polyminors.polylinalg import count_possible_minors, random_matrix
+from polyminors.polylinalg import count_possible_minors, random_matrix, recursive_minors
+from polyminors.selection import _BUILTIN_STRATEGIES
 from polyminors.polyring import PolyError
 from tests.conftest import SEC51_GENERATORS
 
@@ -523,6 +524,75 @@ class TestProjDim:
         bound = proj_dim_upper_bound(
             ChainComplexInput([d1, d2]), 0, MinorLoopConfig(), random.Random(0))
         assert bound <= 1
+
+    def test_dense_split_tails_trim_to_k(self):
+        # The Koszul complex on x1, x2, x3 resolves R/(x1, x2, x3), of
+        # projective dimension 3.  Trivial pieces R -> R (degrees 4 -> 3) and
+        # R^2 -> R^2 (degrees 5 -> 4) make the length 5, and each of the three
+        # tail modules gets a change of basis U, a product of elementary
+        # matrices I + f*E_ij with f dense of degree 1.  A draw in which a
+        # split map has a constant minor is redrawn, so every split must be
+        # certified by a unit ideal of nonconstant minors.
+        k, a, b = 3, 1, 2
+        ring = PolyRing(GF(101), [f"x{i}" for i in range(1, k + 1)])
+        gens, zero, one = ring.gens(), ring.zero(), ring.one()
+        rng = random.Random(19)
+
+        def matrix(rows, cols, entry):
+            return PolyMatrix(ring, [[entry(i, j) for j in range(cols)] for i in range(rows)])
+
+        def koszul_entry(S, T):
+            if not set(S) <= set(T):
+                return zero
+            (j,) = set(T) - set(S)
+            return gens[j] if T.index(j) % 2 == 0 else -gens[j]
+
+        koszul = []
+        for i in range(1, k + 1):
+            rows = list(itertools.combinations(range(k), i - 1))
+            cols = list(itertools.combinations(range(k), i))
+            koszul.append(matrix(len(rows), len(cols), lambda r, c: koszul_entry(rows[r], cols[c])))
+
+        def unimodular(size):
+            """(U, U^-1) for U a product of elementary matrices I + f*E_ij."""
+            if size == 1:
+                c = rng.randrange(1, 101)
+                return (PolyMatrix(ring, [[ring.constant(c)]]),
+                        PolyMatrix(ring, [[ring.constant(pow(c, 99, 101))]]))
+            U = V = identity = matrix(size, size, lambda i, j: one if i == j else zero)
+            lower = [(i + 1, i) for i in range(size - 1)]
+            for i, j in lower + [(j, i) for i, j in lower] + lower:
+                f = ring.from_terms([(rng.randrange(1, 101), m)
+                                     for m in [(0,) * k, *itertools.permutations((1,) + (0,) * (k - 1))]])
+                U = U * matrix(size, size, lambda r, c: f if (r, c) == (i, j) else identity[r, c])
+                V = matrix(size, size, lambda r, c: -f if (r, c) == (i, j) else identity[r, c]) * V
+            return U, V
+
+        d_k = koszul[-1]
+        tail = matrix(d_k.nrows, 1 + a, lambda i, j: d_k[i, 0] if j == 0 else zero)
+        split1 = matrix(1 + a, a + b, lambda i, j: one if i == j + 1 else zero)
+        split2 = matrix(a + b, b, lambda i, j: one if i == j + a else zero)
+        for _ in range(20):
+            (U0, U0i), (U1, U1i), (U2, U2i) = [unimodular(size) for size in (1 + a, a + b, b)]
+            hidden = [tail * U0, U0i * split1 * U1, U1i * split2 * U2]
+            if not any(m.is_constant() and not m.is_zero()
+                       for d, rank in ((hidden[1], a), (hidden[2], b))
+                       for m in recursive_minors(rank, d)):
+                break
+        else:
+            raise AssertionError("every draw had a constant minor")
+        complex_input = ChainComplexInput(koszul[:-1] + hidden)
+        assert complex_input.length == k + 2
+        for name in sorted(_BUILTIN_STRATEGIES):
+            cfg = MinorLoopConfig(strategy=builtin_strategy(name))
+            bound = proj_dim_upper_bound(complex_input, 0, cfg, random.Random(name))
+            if name == "StrategyPoints":
+                # Every draw is the pivot block of the map at a random point,
+                # the same block when no entry vanishes there, so only one
+                # minor is ever found and no split is certified.
+                assert k <= bound <= k + 2
+            else:
+                assert bound == k, name
 
     def test_min_dimension_floor(self):
         complex_input = TestChainComplex().koszul()

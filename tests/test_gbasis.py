@@ -279,6 +279,62 @@ class TestGroebnerState:
                 joins += len(state.entries)
         assert joins > 300
 
+    def test_added_entries_carry_their_packed_room(self):
+        # `add` takes each entry's headroom from exponent tuples, the input's
+        # or its remainder's; it must equal `packed_room` of the packed terms,
+        # exponents up to MAX_EXPONENT - 1 included.  The first entries'
+        # exponents are 0 or at least 30000, which keeps reductions short.
+        rng = random.Random(17)
+        R = PolyRing(GF(101), ["x", "y", "z"])
+
+        def poly(*exponents):
+            return R.from_terms([(rng.randrange(1, 101), tuple(rng.choice(exponents) for _ in "xyz"))
+                                 for _ in range(rng.randint(1, 5))])
+
+        remainders = 0
+        for kind in (LEX, GREVLEX):
+            for _ in range(40):
+                perm = list(range(3))
+                rng.shuffle(perm)
+                order = MonomialOrder(kind, tuple(perm))
+                state = GroebnerState(R, order)
+                state.add([poly(0, 30000 + rng.randrange(35536), 65535) for _ in range(2)])
+                inputs = [poly(0, 1, 2, rng.randrange(65536), 65535) for _ in range(3)]
+                try:
+                    state.add(inputs)
+                except ExponentOverflowError:
+                    continue
+                packing = order.packing
+                for entry in state.entries:
+                    assert entry.room == packing.packed_room((entry.lm, *entry.tail_m))
+                joined = state.polynomials()[2:]
+                remainders += sum(g.monic(order) not in joined for g in inputs)
+        assert remainders > 20
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
+    def test_reduction_by_an_added_entry_overflows_past_the_limit(self, field):
+        R = PolyRing(field, ["x", "y", "z"])
+        order = identity_order(GREVLEX, 3)
+
+        def state_after(*batches):
+            state = GroebnerState(R, order)
+            for batch in batches:
+                state.add([R.parse(g) for g in batch])
+            return state
+
+        # An input's own tuples: x - y^60000 has lead y^60000 and tail x, so
+        # a shift by x^65534 fits and one by x^65535 does not.
+        assert R.parse("x^65535") in state_after(["x - y^60000"], ["x^65534*y^60000"]).polynomials()
+        with pytest.raises(ExponentOverflowError):
+            state_after(["x - y^60000"], ["x^65535*y^60000"])
+        # A remainder's tuples: z^2*y^65000 + x^65535*y joins as its
+        # remainder x^65535*y + x*y^65000, whose tail takes a shift by y^535
+        # and not one by y^536.
+        joined = ["z^2 - x"], ["z^2*y^65000 + x^65535*y"]
+        assert R.parse("x*y^65535") in state_after(*joined, ["x^65535*y^536"]).polynomials()
+        with pytest.raises(ExponentOverflowError):
+            state_after(*joined, ["x^65535*y^537"])
+
 
 class _CheckedState(GroebnerState):
     """A state whose every pair update is checked against a tuple reference.
@@ -407,6 +463,31 @@ class TestUnitIdeal:
         R = PolyRing(GF(101), ["x", "y"])
         x, y = R.gens()
         assert buchberger([y - x * x, x, R.one()], s_pair_cap=0) == [R.one()]
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
+    def test_agrees_with_a_constant_in_the_basis(self, field):
+        # Two generic conics in two variables meet, three generic ones do not;
+        # u = 1 + a*f + b*g hides a unit in (f, g, u).
+        rng = random.Random(f"unit-{field}")
+        R = PolyRing(field, ["x", "y"])
+        answers = []
+        for trial in range(30):
+            ideal = random_ideal(R, rng, count=rng.choice([1, 2, 3]))
+            if trial % 5 == 0:
+                f, g = random_ideal(R, rng, count=2).generators
+                a, b = (random_polynomial(R, 1, rng) for _ in range(2))
+                ideal = Ideal([f, g, R.one() + a * f + b * g], R)
+            expected = any(g.is_constant() for g in buchberger(ideal.generators))
+            assert is_unit_ideal(ideal) == expected, trial
+            answers.append(expected)
+        assert answers.count(True) >= 5 and answers.count(False) >= 5
+
+    def test_budget_error_where_a_pair_is_needed(self):
+        # x + 1 and x join as they are; only their S-pair gives the constant.
+        R = PolyRing(GF(101), ["x"])
+        x = R.gens()[0]
+        with pytest.raises(BudgetExceededError):
+            is_unit_ideal(Ideal([x + 1, x], R), s_pair_cap=0)
 
 
 class TestVertexCoverAndDimension:

@@ -195,6 +195,29 @@ class TestDeterminants:
             with pytest.raises(MatrixShapeError):
                 determinant(M, engine)
 
+    def test_empty_matrix_has_determinant_one(self):
+        # The 0x0 determinant is 1 under every engine, the convention by which
+        # the size-0 minor ideal is the unit ideal; no minor of size 0 is listed.
+        ring = PolyRing(GF(101), ["x"])
+        empty = PolyMatrix(ring, [])
+        for engine in ("bareiss", "cofactor", "recursive"):
+            assert determinant(empty, engine) == ring.one(), engine
+        with pytest.raises(PolyError, match="minor size 0 out of range"):
+            recursive_minors(0, empty)
+
+    @pytest.mark.parametrize("field", [GF(101), QQ], ids=["GF101", "QQ"])
+    def test_one_by_one_determinant_is_the_entry(self, field):
+        rng = random.Random(f"1x1-{field}")
+        ring = PolyRing(field, ["x", "y", "z"])
+        draw = fractional_polynomial if field == QQ else random_polynomial
+        entries = [ring.zero(), ring.one(), ring.parse("x^65535*y - z")]
+        entries += [draw(ring, 3, rng) for _ in range(8)]
+        for e in entries:
+            M = PolyMatrix(ring, [[e]])
+            assert det_bareiss(M) == det_cofactor(M) == recursive_minors(1, M)[0] == e, str(e)
+            for engine in ("bareiss", "cofactor", "recursive"):
+                assert determinant(M, engine) == e, (engine, str(e))
+
     @pytest.mark.parametrize("char, denominators", [(0, False), (101, False), (0, True)],
                              ids=["0", "101", "0-denominators"])
     def test_engine_agreement_random(self, char, denominators):

@@ -272,6 +272,20 @@ class TestExponentPacking:
         fits = not (room - packing.pack(shift)) & packing.guard
         assert fits == (not overflowing(shift, a) and not overflowing(shift, b))
 
+    @pytest.mark.parametrize("kind", [LEX, GREVLEX])
+    def test_room_from_tuples_is_the_packed_room(self, kind):
+        # `room` reads the tuples' column maxima, `packed_room` the fieldwise
+        # max of the packed terms' words.
+        rng = random.Random(f"room-{kind}")
+
+        def exponent():
+            return rng.choice([0, 1, MAX_EXPONENT - 1, rng.randrange(MAX_EXPONENT)])
+
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            packing = random_order(kind, n, rng).packing
+            monos = [tuple(exponent() for _ in range(n)) for _ in range(rng.randint(1, 6))]
+            assert packing.room(monos) == packing.packed_room([packing.pack(m) for m in monos])
 
     @given(word_cases())
     def test_word_lcm_degree_and_packing(self, case):
